@@ -57,14 +57,7 @@ from .series import (
 )
 from .splitting import SplitPlan, SplitResult, SplitSpec, describe_split, split
 from .synthetic import reference_series, write_reference_csv
-from .windowing import (
-    SequencePair,
-    SequenceSet,
-    WindowConfig,
-    footprint,
-    make_sequences,
-    merge_sequence_sets,
-)
+from .windowing import SequenceSet, WindowConfig, make_sequences
 
 __all__ = [
     "__version__",
@@ -82,7 +75,6 @@ __all__ = [
     "LstmModel",
     "RunStats",
     "Scaler",
-    "SequencePair",
     "SequenceSet",
     "SplitError",
     "SplitPlan",
@@ -103,7 +95,6 @@ __all__ = [
     "describe_split",
     "emit_plot_data",
     "emit_report",
-    "footprint",
     "gradient_check",
     "leakage_rank",
     "load_checkpoint",
@@ -111,7 +102,6 @@ __all__ = [
     "load_report",
     "lstm_forward",
     "make_sequences",
-    "merge_sequence_sets",
     "minimal_clearing_gap",
     "predict",
     "recompute_gains",

@@ -1,18 +1,25 @@
 """Ground-truth contamination oracle over raw-index footprints.
 
-Contamination is defined on raw-index sets including the target index: a
-test observation appearing inside any training-side window (or vice versa)
-is exactly the mechanism that inflates leaky evaluations. The buffer
-mitigation removes training-side pairs near the test range.
+The footprint of the pair whose window starts at raw index t is
+[t, t+W) plus {t+W+L-1}: its window indices and its target index.
+Contamination is defined on raw indices including the target index: a test
+observation appearing inside any training-side window (or vice versa) is
+exactly the mechanism that inflates leaky evaluations. Footprint unions are
+boolean masks over raw indices, so the audit is array arithmetic on the
+window starts. The buffer mitigation removes training-side pairs near the
+test range, as the buffer zone of hv-block cross-validation (Racine 2000)
+and the purge of purged k-fold (Lopez de Prado 2018) do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import AuditError
 from .splitting import SplitResult
-from .windowing import SequencePair, footprint, with_pairs
+from .windowing import SequenceSet
 
 
 @dataclass(frozen=True)
@@ -48,33 +55,39 @@ class AuditReport:
         )
 
 
-def _training_side(result: SplitResult) -> list[SequencePair]:
-    pairs = list(result.train.pairs)
-    if result.val is not None:
-        pairs.extend(result.val.pairs)
-    return pairs
+def footprint_mask(seqs: SequenceSet, size: int) -> np.ndarray:
+    """Boolean mask over raw indices [0, size) of the union of the pairs'
+    footprints: window coverage from a difference array, then the targets."""
+    w = seqs.config.window_size
+    edges = np.bincount(seqs.starts, minlength=size + 1)
+    edges -= np.bincount(seqs.starts + w, minlength=size + 1)
+    mask = np.cumsum(edges[:size]) > 0
+    mask[seqs.target_indices()] = True
+    return mask
 
 
 def audit(result: SplitResult) -> AuditReport:
-    """Intersect the training-side and test raw footprints (set semantics)."""
-    train_fp: set[int] = set()
-    for p in _training_side(result):
-        train_fp |= footprint(p)
-    test_fp: set[int] = set()
-    contaminated_pairs = 0
-    for p in result.test.pairs:
-        fp = footprint(p)
-        test_fp |= fp
-        if fp & train_fp:
-            contaminated_pairs += 1
-    overlap = train_fp & test_fp
+    """Intersect the training-side (train + val) and test raw footprints."""
+    sides = [s for s in (result.train, result.val, result.test) if s is not None]
+    size = max(hi for s in sides for _, hi in s.source_range)
+    train_fp = footprint_mask(result.train, size)
+    if result.val is not None:
+        train_fp |= footprint_mask(result.val, size)
+    test_fp = footprint_mask(result.test, size)
+    overlap = np.flatnonzero(train_fp & test_fp)
+    # a test pair is contaminated when its window holds a training-side index
+    # (prefix sums count them) or its target is one
+    seen = np.concatenate([[0], np.cumsum(train_fp)])
+    starts = result.test.starts
+    window_hits = seen[starts + result.test.config.window_size] - seen[starts]
+    contaminated = (window_hits > 0) | train_fp[result.test.target_indices()]
     return AuditReport(
-        train_footprint_size=len(train_fp),
-        test_footprint_size=len(test_fp),
+        train_footprint_size=int(train_fp.sum()),
+        test_footprint_size=int(test_fp.sum()),
         overlap_count=len(overlap),
-        overlap_sample=tuple(sorted(overlap)[:20]),
-        is_contaminated=bool(overlap),
-        contaminated_test_pairs=contaminated_pairs,
+        overlap_sample=tuple(int(i) for i in overlap[:20]),
+        is_contaminated=bool(len(overlap)),
+        contaminated_test_pairs=int(contaminated.sum()),
     )
 
 
@@ -92,28 +105,20 @@ def apply_buffer(result: SplitResult, gap: int) -> SplitResult:
     """
     if gap < 0:
         raise AuditError(f"gap must be >= 0, got {gap}")
-    test_fp: set[int] = set()
-    for p in result.test.pairs:
-        test_fp |= footprint(p)
-    lo, hi = min(test_fp) - gap, max(test_fp) + gap
+    lo = int(result.test.starts.min()) - gap
+    hi = int(result.test.target_indices().max()) + gap
 
-    def keep(pairs) -> list[SequencePair]:
-        # footprint spans [input_start, target_index], so containment in the
-        # widened range reduces to its two extremes
-        return [p for p in pairs if p.input_start < lo or p.target_index > hi]
+    def keep(seqs: SequenceSet, name: str) -> SequenceSet:
+        # a footprint spans [t, t+W+L-1], so containment in the widened
+        # range reduces to its two extremes
+        kept = (seqs.starts < lo) | (seqs.target_indices() > hi)
+        if not kept.any():
+            raise AuditError(f"buffer gap {gap} empties the {name} set")
+        return replace(seqs, starts=seqs.starts[kept])
 
-    new_train = keep(result.train.pairs)
-    if not new_train:
-        raise AuditError(f"buffer gap {gap} empties the train set")
-    new_val = None
-    if result.val is not None:
-        kept_val = keep(result.val.pairs)
-        if not kept_val:
-            raise AuditError(f"buffer gap {gap} empties the val set")
-        new_val = with_pairs(result.val, kept_val)
     return SplitResult(
-        train=with_pairs(result.train, new_train),
-        val=new_val,
+        train=keep(result.train, "train"),
+        val=None if result.val is None else keep(result.val, "val"),
         test=result.test,
         fold_index=result.fold_index,
     )

@@ -14,20 +14,19 @@ import numpy as np
 
 from .audit import audit
 from .errors import ContaminationError, LeakbenchError
-from .metrics import GainRecord
 from .runner import (
-    GAIN_CSV_HEADER,
     ExperimentConfig,
     emit_plot_data,
     emit_report,
+    gains_csv,
+    grid_splits,
     load_report,
     recompute_gains,
     run_experiment,
 )
 from .series import describe, load_csv, seasonal_decompose
-from .splitting import SplitSpec, split
+from .splitting import split
 from .synthetic import write_reference_csv
-from .windowing import WindowConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,30 +125,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    """Audit the split of each cell's first repetition: the split whose
+    audits `run` stores in its report."""
     cfg = _load_config(args)
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     lines = ["window,lag,plan,mode,fold,train_pairs,test_pairs,overlap,contaminated_test_pairs"]
     contaminated_clean = False
-    for w in cfg.windows:
-        for lag in cfg.lags:
-            for plan in cfg.plans:
-                for mode in cfg.modes:
-                    spec = SplitSpec(
-                        plan=plan,
-                        mode=mode,
-                        window=WindowConfig(w, lag),
-                        order=cfg.order,
-                        seed=cfg.base_seed,
-                    )
-                    for res in split(series, spec):
-                        rep = audit(res)
-                        if mode == "clean" and rep.is_contaminated:
-                            contaminated_clean = True
-                        lines.append(
-                            f"{w},{lag},{plan.label},{mode},{res.fold_index},"
-                            f"{len(res.train)},{len(res.test)},"
-                            f"{rep.overlap_count},{rep.contaminated_test_pairs}"
-                        )
+    for cell, specs in grid_splits(cfg):
+        for res in split(series, specs[0]):
+            rep = audit(res)
+            if cell.mode == "clean" and rep.is_contaminated:
+                contaminated_clean = True
+            lines.append(
+                f"{cell.window},{cell.lag},{cell.plan.label},{cell.mode},{res.fold_index},"
+                f"{len(res.train)},{len(res.test)},"
+                f"{rep.overlap_count},{rep.contaminated_test_pairs}"
+            )
     body = "\n".join(lines) + "\n"
     if args.out:
         out = Path(args.out)
@@ -164,19 +155,9 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _gain_csv(records: list[GainRecord]) -> str:
-    lines = [GAIN_CSV_HEADER]
-    for g in records:
-        lines.append(
-            f"{g.window},{g.lag},{g.plan},{g.rmse_clean!r},{g.rmse_leaky!r},"
-            f"{g.gain_percent!r},{g.direction},{g.leakage_rank}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_gain(args) -> int:
     records = recompute_gains(args.clean_csv, args.leaky_csv)
-    body = _gain_csv(records)
+    body = gains_csv(records)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

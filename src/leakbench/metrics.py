@@ -172,9 +172,9 @@ def make_gain_record(
     )
 
 
-def _plan_sort_key(plan_label: str) -> int:
-    order = {"2-way": 0, "3-way": 1}
-    return order.get(plan_label, 2)
+def plan_sort_key(plan_label: str) -> int:
+    """Plan order 2-way, 3-way, k-fold: the one ordering of plan labels."""
+    return {"2-way": 0, "3-way": 1}.get(plan_label, 2)
 
 
 def leakage_rank(records: Sequence[GainRecord]) -> list[GainRecord]:
@@ -183,7 +183,7 @@ def leakage_rank(records: Sequence[GainRecord]) -> list[GainRecord]:
     if not records:
         raise LeakbenchError("cannot rank an empty group")
     ordered = sorted(
-        records, key=lambda r: (abs(r.gain_percent), _plan_sort_key(r.plan))
+        records, key=lambda r: (abs(r.gain_percent), plan_sort_key(r.plan))
     )
     ranked = {id(r): i + 1 for i, r in enumerate(ordered)}
     return [replace(r, leakage_rank=ranked[id(r)]) for r in records]

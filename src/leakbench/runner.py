@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,15 @@ from . import __version__
 from .audit import AuditReport, audit
 from .errors import ContaminationError, LeakbenchError, SplitError
 from .forecaster import TrainConfig, baseline_linear_ar, baseline_persistence, predict, train
-from .metrics import GainRecord, RunStats, aggregate, leakage_rank, make_gain_record, rmse
+from .metrics import (
+    GainRecord,
+    RunStats,
+    aggregate,
+    leakage_rank,
+    make_gain_record,
+    plan_sort_key,
+    rmse,
+)
 from .series import TimeSeries, load_csv
 from .splitting import SplitPlan, SplitSpec, SplitResult, split
 from .windowing import WindowConfig
@@ -219,8 +228,32 @@ def derive_seed(base_seed: int | None, *parts) -> int | None:
     return (int(base_seed) ^ int.from_bytes(digest[:8], "big")) & ((1 << 63) - 1)
 
 
-def _plan_sort(plan_label: str) -> int:
-    return {"2-way": 0, "3-way": 1}.get(plan_label, 2)
+def grid_splits(cfg: ExperimentConfig) -> list[tuple[Cell, tuple[SplitSpec, ...]]]:
+    """Every cell of the grid in run order, with the SplitSpec of each of its
+    repetitions. `run` trains on these splits and `audit` audits them."""
+    cells = [
+        Cell(window=w, lag=l, plan=p, mode=m)
+        for w in cfg.windows
+        for l in cfg.lags
+        for p in cfg.plans
+        for m in cfg.modes
+    ]
+    return [
+        (
+            cell,
+            tuple(
+                SplitSpec(
+                    plan=cell.plan,
+                    mode=cell.mode,
+                    window=WindowConfig(cell.window, cell.lag),
+                    order=cfg.order,
+                    seed=derive_seed(cfg.base_seed, *cell.key, rep, "split"),
+                )
+                for rep in range(cfg.repetitions)
+            ),
+        )
+        for cell in cells
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,29 +276,15 @@ def _evaluate_fold(
     if cfg.model == "linear_ar":
         preds = baseline_linear_ar(result.train, result.test)
         return rmse(preds, targets), None, None
-    train_cfg = TrainConfig(
-        epochs=cfg.train.epochs,
-        learning_rate=cfg.train.learning_rate,
-        batch_size=cfg.train.batch_size,
-        early_stopping=cfg.train.early_stopping,
-        patience=cfg.train.patience,
-        seed=train_seed,
-        scaling=cfg.train.scaling,
-    )
+    train_cfg = replace(cfg.train, seed=train_seed)
     outcome = train(result.train, result.val, train_cfg, hidden_size=cfg.hidden_size)
     preds = predict(outcome.model, outcome.scaler, result.test)
     return rmse(preds, targets), float(outcome.optimal_epoch), float(outcome.last_epoch)
 
 
-def _run_once(series: TimeSeries, cfg: ExperimentConfig, cell: Cell, rep: int) -> _RunOutcome:
-    split_seed = derive_seed(cfg.base_seed, *cell.key, rep, "split")
-    spec = SplitSpec(
-        plan=cell.plan,
-        mode=cell.mode,
-        window=WindowConfig(cell.window, cell.lag),
-        order=cfg.order,
-        seed=split_seed,
-    )
+def _run_once(
+    series: TimeSeries, cfg: ExperimentConfig, cell: Cell, rep: int, spec: SplitSpec
+) -> _RunOutcome:
     results = split(series, spec)
     fold_rmses = []
     optimal_epochs = []
@@ -296,14 +315,14 @@ def _run_once(series: TimeSeries, cfg: ExperimentConfig, cell: Cell, rep: int) -
 
 
 def _execute_task(
-    series: TimeSeries, cfg: ExperimentConfig, task: tuple[Cell, int]
+    series: TimeSeries, cfg: ExperimentConfig, task: tuple[Cell, int, SplitSpec]
 ) -> tuple[Cell, int, "_RunOutcome | Exception"]:
     """One (cell, repetition) unit of work; module-level so worker
     processes can pickle it. Errors come back as values and are re-raised
     (or recorded) by the parent."""
-    cell, rep = task
+    cell, rep, spec = task
     try:
-        return cell, rep, _run_once(series, cfg, cell, rep)
+        return cell, rep, _run_once(series, cfg, cell, rep, spec)
     except LeakbenchError as exc:
         return cell, rep, exc
 
@@ -320,14 +339,9 @@ def run_experiment(
     unless keep_going, in which case they are recorded in report.errors.
     """
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
-    cells = [
-        Cell(window=w, lag=l, plan=p, mode=m)
-        for w in cfg.windows
-        for l in cfg.lags
-        for p in cfg.plans
-        for m in cfg.modes
-    ]
-    tasks = [(cell, rep) for cell in cells for rep in range(cfg.repetitions)]
+    grid = grid_splits(cfg)
+    cells = [cell for cell, _ in grid]
+    tasks = [(cell, rep, spec) for cell, specs in grid for rep, spec in enumerate(specs)]
 
     outcomes: dict[tuple, list[tuple[int, _RunOutcome]]] = {c.key: [] for c in cells}
     errors: list[str] = []
@@ -376,7 +390,7 @@ def run_experiment(
                 audits=runs[0].audits,
             )
         )
-    cell_results.sort(key=lambda c: (c.window, c.lag, _plan_sort(c.plan), c.mode))
+    cell_results.sort(key=lambda c: (c.window, c.lag, plan_sort_key(c.plan), c.mode))
 
     gains = _pair_gains(cell_results)
     provenance = {
@@ -394,31 +408,29 @@ def run_experiment(
     )
 
 
-def _pair_gains(cells: list[CellResult]) -> list[GainRecord]:
-    """One GainRecord per (window, lag, plan) with both modes present,
-    ranked inside each (window, lag) group."""
-    by_coord: dict[tuple, dict[str, CellResult]] = {}
-    for c in cells:
-        by_coord.setdefault((c.window, c.lag, c.plan), {})[c.mode] = c
-    records = []
-    for (window, lag, plan), modes in sorted(
-        by_coord.items(), key=lambda kv: (kv[0][0], kv[0][1], _plan_sort(kv[0][2]))
-    ):
-        if "clean" in modes and "leaky" in modes:
-            records.append(
-                make_gain_record(
-                    window, lag, plan,
-                    clean=modes["clean"].stats.mean,
-                    leaky=modes["leaky"].stats.mean,
-                )
-            )
-    ranked: list[GainRecord] = []
+def _ranked_gains(means: dict[tuple, tuple[float, float]]) -> list[GainRecord]:
+    """One GainRecord per (window, lag, plan) key of (clean, leaky) mean
+    RMSEs, ordered by window, lag and plan and ranked inside each
+    (window, lag) group."""
     groups: dict[tuple, list[GainRecord]] = {}
-    for r in records:
-        groups.setdefault((r.window, r.lag), []).append(r)
-    for key in sorted(groups):
-        ranked.extend(leakage_rank(groups[key]))
-    return ranked
+    for window, lag, plan in sorted(means, key=lambda k: (k[0], k[1], plan_sort_key(k[2]))):
+        clean, leaky = means[(window, lag, plan)]
+        groups.setdefault((window, lag), []).append(
+            make_gain_record(window, lag, plan, clean=clean, leaky=leaky)
+        )
+    return [r for key in sorted(groups) for r in leakage_rank(groups[key])]
+
+
+def _pair_gains(cells: list[CellResult]) -> list[GainRecord]:
+    """One GainRecord per (window, lag, plan) with both modes present."""
+    by_coord: dict[tuple, dict[str, float]] = {}
+    for c in cells:
+        by_coord.setdefault((c.window, c.lag, c.plan), {})[c.mode] = c.stats.mean
+    return _ranked_gains({
+        coord: (modes["clean"], modes["leaky"])
+        for coord, modes in by_coord.items()
+        if "clean" in modes and "leaky" in modes
+    })
 
 
 def _fmt(x) -> str:
@@ -476,8 +488,16 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv")
     cells_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(cells_path)
 
+    gains_path = out / "gains.csv"
+    gains_path.write_text(gains_csv(report.gains), encoding="utf-8")
+    written.append(gains_path)
+    return written
+
+
+def gains_csv(records: Sequence[GainRecord]) -> str:
+    """The text of a `gains.csv` holding `records`."""
     lines = [GAIN_CSV_HEADER]
-    for g in report.gains:
+    for g in records:
         lines.append(
             ",".join(
                 _fmt(v)
@@ -487,10 +507,7 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv")
                 )
             )
         )
-    gains_path = out / "gains.csv"
-    gains_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(gains_path)
-    return written
+    return "\n".join(lines) + "\n"
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -552,19 +569,7 @@ def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRe
 
     clean = read_means(clean_csv, "clean")
     leaky = read_means(leaky_csv, "leaky")
-    shared = sorted(
-        set(clean) & set(leaky), key=lambda k: (k[0], k[1], _plan_sort(k[2]))
-    )
+    shared = {key: (clean[key], leaky[key]) for key in clean if key in leaky}
     if not shared:
         raise LeakbenchError("no matching (window, lag, plan) cells between the reports")
-    records = [
-        make_gain_record(w, l, plan, clean=clean[(w, l, plan)], leaky=leaky[(w, l, plan)])
-        for w, l, plan in shared
-    ]
-    groups: dict[tuple, list[GainRecord]] = {}
-    for r in records:
-        groups.setdefault((r.window, r.lag), []).append(r)
-    out: list[GainRecord] = []
-    for key in sorted(groups):
-        out.extend(leakage_rank(groups[key]))
-    return out
+    return _ranked_gains(shared)

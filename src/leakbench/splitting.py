@@ -3,31 +3,26 @@
 Two timing modes exist for every plan:
 
 * leaky  — windows are generated over the whole series first, then the
-  resulting *pair list* is partitioned. Pairs near partition boundaries
-  share raw observations across partitions.
+  resulting *window starts* are partitioned. Pairs near partition
+  boundaries share raw observations across partitions.
 * clean  — the *raw series* is partitioned first into contiguous
   chronological segments and windows are generated independently inside
   each segment, so raw footprints of train/val and test are disjoint.
+
+Every partition is a SequenceSet over the series' own values buffer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import SplitError
 from .series import TimeSeries
-from .windowing import (
-    SequencePair,
-    SequenceSet,
-    WindowConfig,
-    make_sequences,
-    merge_sequence_sets,
-    with_pairs,
-)
+from .windowing import SequenceSet, WindowConfig, make_sequences
 
 TWO_WAY = "two_way"
 THREE_WAY = "three_way"
@@ -118,9 +113,6 @@ class SplitPlan:
         return cls(kind=K_FOLD, k=k)
 
 
-PLAN_ORDER = {TWO_WAY: 0, THREE_WAY: 1, K_FOLD: 2}
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Plan + timing mode + pair ordering + window geometry + seed."""
@@ -205,19 +197,19 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
     """Materialize every SplitResult a spec describes.
 
     Leaky mode builds one sequence set over the whole series and partitions
-    the pair list: sequential takes contiguous prefix/middle/suffix with the
-    train (and val) counts floored and the remainder assigned to test;
-    random shuffles the pair list first (seeded); k_fold cuts the (possibly
-    shuffled) pair list into k contiguous blocks and uses block i as the
-    test set of fold i. Partition membership is what the ordering decides;
-    each partition's pairs are stored sorted by input_start.
+    its window starts: sequential takes contiguous prefix/middle/suffix with
+    the train (and val) counts floored and the remainder assigned to test;
+    random permutes the starts first (seeded); k_fold cuts the (possibly
+    permuted) starts into k contiguous blocks and uses block i as the test
+    set of fold i. Partition membership is what the ordering decides; each
+    partition's starts are stored sorted.
 
     Clean mode applies the same flooring rules to the raw series, keeps the
     segments chronological (train earliest, then val, then test), and
     windows each segment independently. Clean k_fold cuts the raw series
     into k contiguous blocks; fold i tests on sequences inside block i and
     trains on sequences generated within each maximal contiguous run of the
-    remaining blocks (before/after the test block), merged.
+    remaining blocks (before/after the test block), as one set.
 
     Raises SplitError when any resulting partition has no pairs.
     """
@@ -229,52 +221,50 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
 
 def _split_leaky(series: TimeSeries, spec: SplitSpec, n: int) -> list[SplitResult]:
     full = make_sequences(series.values, spec.window, offset=0)
-    pairs: list[SequencePair] = list(full.pairs)
-    if not pairs:
+    total = len(full)
+    if not total:
         raise SplitError(
             f"series of length {n} yields no pairs for "
             f"W={spec.window.window_size}, L={spec.window.lag_step}"
         )
+    starts = full.starts
     if spec.order == ORDER_RANDOM:
-        rng = np.random.default_rng(spec.seed)
-        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        starts = starts[np.random.default_rng(spec.seed).permutation(total)]
 
-    def part(selection: list[SequencePair], name: str) -> SequenceSet:
-        s = with_pairs(full, selection)
-        if len(s) == 0:
+    def part(selection: np.ndarray, name: str) -> SequenceSet:
+        if not len(selection):
             raise SplitError(
-                f"empty {name} partition: {len(pairs)} total pairs (raw length {n}) "
+                f"empty {name} partition: {total} total pairs (raw length {n}) "
                 f"leave none for it under plan {spec.plan.label}"
             )
-        return s
+        return replace(full, starts=np.sort(selection))
 
     plan = spec.plan
-    total = len(pairs)
     if plan.kind == TWO_WAY:
         a, _ = _holdout_counts(total, plan.fractions)
         return [
             SplitResult(
-                train=part(pairs[:a], "train"),
+                train=part(starts[:a], "train"),
                 val=None,
-                test=part(pairs[a:], "test"),
+                test=part(starts[a:], "test"),
             )
         ]
     if plan.kind == THREE_WAY:
         a, b, _ = _holdout_counts(total, plan.fractions)
         return [
             SplitResult(
-                train=part(pairs[:a], "train"),
-                val=part(pairs[a : a + b], "val"),
-                test=part(pairs[a + b :], "test"),
+                train=part(starts[:a], "train"),
+                val=part(starts[a : a + b], "val"),
+                test=part(starts[a + b :], "test"),
             )
         ]
     results = []
     for i, (lo, hi) in enumerate(_fold_bounds(total, plan.k)):
         results.append(
             SplitResult(
-                train=part(pairs[:lo] + pairs[hi:], "train"),
+                train=part(np.concatenate([starts[:lo], starts[hi:]]), "train"),
                 val=None,
-                test=part(pairs[lo:hi], "test"),
+                test=part(starts[lo:hi], "test"),
                 fold_index=i,
             )
         )
@@ -313,16 +303,19 @@ def _split_clean(series: TimeSeries, spec: SplitSpec, n: int) -> list[SplitResul
     for i, (lo, hi) in enumerate(bounds):
         test = _segment_set(series, lo, hi, window)
         _require_pairs(test, "test", hi - lo, fold=i)
-        runs = []
-        if lo > 0:
-            runs.append(_segment_set(series, 0, lo, window))
-        if hi < n:
-            runs.append(_segment_set(series, hi, n, window))
-        train = merge_sequence_sets(runs)
+        runs = [(a, b) for a, b in ((0, lo), (hi, n)) if a < b]
+        train = SequenceSet(
+            values=series.values[runs[0][0] :],
+            starts=np.concatenate(
+                [_segment_set(series, a, b, window).starts for a, b in runs]
+            ),
+            source_range=tuple(runs),
+            config=window,
+        )
         if len(train) == 0:
             raise SplitError(
                 f"empty train partition (fold {i}): remaining raw runs of "
-                f"lengths {[b - a for a, b in train.source_range]} yield no pairs"
+                f"lengths {[b - a for a, b in runs]} yield no pairs"
             )
         results.append(SplitResult(train=train, val=None, test=test, fold_index=i))
     return results

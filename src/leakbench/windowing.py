@@ -1,15 +1,17 @@
 """Sliding-window construction of supervised sequence pairs.
 
-Every pair keeps its raw-index provenance: the window covers raw indices
-[t, t+W-1] and the target sits at t+W+L-1, so with lag step L=1 the target
-is the observation immediately after the window. The footprint of a pair
-(window indices plus target index) is what the leakage audit intersects.
+A sequence set is an array of raw window starts over one shared values
+buffer; no pair is stored as an object of its own. The pair that starts at
+raw index t has its window on [t, t+W-1] and its target at t+W+L-1, so with
+lag step L=1 the target is the observation immediately after the window.
+Its footprint [t, t+W) plus {t+W+L-1} is what the leakage audit intersects,
+as boolean masks over raw indices built from the starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,67 +40,62 @@ class WindowConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SequencePair:
-    """One supervised example: W past values -> one future value.
-
-    input_start is the raw index of the first window element in the
-    originating series; target_index = input_start + W + L - 1.
-    """
-
-    input: np.ndarray
-    target: float
-    input_start: int
-    target_index: int
-
-
-def footprint(pair: SequencePair) -> frozenset[int]:
-    """Raw indices the pair touches: its window plus its target."""
-    w = pair.input.shape[0]
-    return frozenset(range(pair.input_start, pair.input_start + w)) | {pair.target_index}
-
-
-@dataclass(frozen=True, eq=False)
 class SequenceSet:
-    """An ordered collection of pairs plus the raw interval(s) that produced it.
+    """Window starts over a read-only values buffer, plus the raw
+    interval(s) that produced them.
 
-    source_range holds half-open [start, stop) raw-index intervals; every
-    pair's footprint must lie inside one of them. Empty sets are legal.
+    `starts` holds each pair's raw window start t, ascending. `values[0]` is
+    the observation at raw index `source_range[0][0]`, and the buffer runs
+    at least to the last source range's stop; sets cut from one series
+    share its buffer. source_range holds half-open [start, stop) raw-index
+    intervals, and every pair's raw span [t, t+W+L-1] must lie inside one
+    of them. Empty sets are legal.
     """
 
-    pairs: tuple[SequencePair, ...]
+    values: np.ndarray
+    starts: np.ndarray
     source_range: tuple[tuple[int, int], ...]
     config: WindowConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(
-            self, "source_range", tuple((int(a), int(b)) for a, b in self.source_range)
-        )
-        prev = None
-        for p in self.pairs:
-            if prev is not None and p.input_start < prev:
-                raise WindowError("pairs must be ordered by input_start")
-            prev = p.input_start
-            if not any(
-                lo <= p.input_start and p.target_index < hi
-                for lo, hi in self.source_range
-            ):
-                raise WindowError(
-                    f"pair at t={p.input_start} falls outside source range"
-                    f" {self.source_range}"
-                )
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        starts = np.asarray(self.starts, dtype=np.int64).view()
+        starts.flags.writeable = False
+        ranges = tuple((int(a), int(b)) for a, b in self.source_range)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "source_range", ranges)
+        if np.any(starts[1:] < starts[:-1]):
+            raise WindowError("pairs must be ordered by input_start")
+        last = self.target_indices()
+        inside = np.zeros(starts.shape, dtype=bool)
+        for lo, hi in ranges:
+            inside |= (lo <= starts) & (last < hi)
+        if not inside.all():
+            raise WindowError(
+                f"pair at t={int(starts[~inside][0])} falls outside source range"
+                f" {ranges}"
+            )
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.starts.shape[0]
+
+    def target_indices(self) -> np.ndarray:
+        """Raw index t + W + L - 1 of every pair's target."""
+        return self.starts + self.config.window_size + self.config.lag_step - 1
+
+    def _origin(self) -> int:
+        """Raw index of values[0]."""
+        return self.source_range[0][0] if self.source_range else 0
 
     def inputs(self) -> np.ndarray:
-        """Stack pair inputs into a (n_pairs, W) matrix."""
-        if not self.pairs:
-            return np.zeros((0, self.config.window_size))
-        return np.stack([p.input for p in self.pairs])
+        """The (n_pairs, W) matrix of windows, gathered from the buffer."""
+        positions = self.starts - self._origin()
+        return self.values[positions[:, None] + np.arange(self.config.window_size)]
 
     def targets(self) -> np.ndarray:
-        return np.array([p.target for p in self.pairs])
+        return self.values[self.target_indices() - self._origin()]
 
 
 def make_sequences(
@@ -106,48 +103,17 @@ def make_sequences(
 ) -> SequenceSet:
     """Slide a (W, L) window over a contiguous segment.
 
-    `offset` is the segment's global raw index, so pair k has
-    input_start = offset + k. A segment shorter than W + L yields an empty
-    set; callers decide whether that is an error.
+    `offset` is the segment's global raw index, so pair k has window start
+    offset + k. The set keeps `values` as its buffer (a view, not a copy,
+    when it already is a float array). A segment shorter than W + L yields
+    an empty set; callers decide whether that is an error.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[0]
-    w, lag = config.window_size, config.lag_step
-    count = max(0, n - w - lag + 1)
-    pairs = []
-    for k in range(count):
-        window = vals[k : k + w].copy()
-        window.flags.writeable = False
-        pairs.append(
-            SequencePair(
-                input=window,
-                target=float(vals[k + w + lag - 1]),
-                input_start=offset + k,
-                target_index=offset + k + w + lag - 1,
-            )
-        )
+    count = max(0, n - config.window_size - config.lag_step + 1)
     return SequenceSet(
-        pairs=tuple(pairs), source_range=((offset, offset + n),), config=config
+        values=vals,
+        starts=np.arange(offset, offset + count),
+        source_range=((offset, offset + n),),
+        config=config,
     )
-
-
-def merge_sequence_sets(sets: Iterable[SequenceSet]) -> SequenceSet:
-    """Concatenate sets built from disjoint segments into one ordered set."""
-    sets = list(sets)
-    if not sets:
-        raise WindowError("cannot merge zero sequence sets")
-    config = sets[0].config
-    for s in sets[1:]:
-        if s.config != config:
-            raise WindowError("cannot merge sequence sets with different configs")
-    pairs = sorted(
-        (p for s in sets for p in s.pairs), key=lambda p: p.input_start
-    )
-    ranges = sorted(r for s in sets for r in s.source_range)
-    return SequenceSet(pairs=tuple(pairs), source_range=tuple(ranges), config=config)
-
-
-def with_pairs(base: SequenceSet, pairs: Iterable[SequencePair]) -> SequenceSet:
-    """A copy of `base` holding only `pairs` (re-sorted by input_start)."""
-    ordered = tuple(sorted(pairs, key=lambda p: p.input_start))
-    return SequenceSet(pairs=ordered, source_range=base.source_range, config=base.config)

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from leakbench.metrics import aggregate, rmse_gain
 from leakbench.runner import ExperimentConfig, run_experiment
 from leakbench.splitting import SplitPlan, SplitSpec, split
 from leakbench.synthetic import write_reference_csv
-from leakbench.windowing import WindowConfig, make_sequences, with_pairs
+from leakbench.windowing import WindowConfig, make_sequences
 
 from conftest import make_series
 
@@ -87,16 +88,17 @@ def test_criterion_1_window_count_formula(climate):
 
 
 def naive_overlap(result):
+    w, lag = result.test.config.window_size, result.test.config.lag_step
     train = set()
-    for p in list(result.train.pairs) + (list(result.val.pairs) if result.val else []):
-        for j in range(p.input.shape[0]):
-            train.add(p.input_start + j)
-        train.add(p.target_index)
+    for t in result.train.starts.tolist() + (result.val.starts.tolist() if result.val else []):
+        for j in range(w):
+            train.add(t + j)
+        train.add(t + w + lag - 1)
     test = set()
-    for p in result.test.pairs:
-        for j in range(p.input.shape[0]):
-            test.add(p.input_start + j)
-        test.add(p.target_index)
+    for t in result.test.starts.tolist():
+        for j in range(w):
+            test.add(t + j)
+        test.add(t + w + lag - 1)
     return train & test
 
 
@@ -145,7 +147,7 @@ def test_criterion_3_gradient_correctness():
         rng = np.random.default_rng(seed)
         model = LstmModel.initialize(4, rng)
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
-        batch = with_pairs(seqs, seqs.pairs[:3])
+        batch = replace(seqs, starts=seqs.starts[:3])
         err = gradient_check(model, batch, epsilon=1e-5)
         worst = max(worst, err)
         assert err < 1e-4
@@ -159,7 +161,7 @@ def test_criterion_3_gradient_correctness():
     rng = np.random.default_rng(123)
     model = LstmModel.initialize(4, rng)
     seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
-    batch = with_pairs(seqs, seqs.pairs[:3])
+    batch = replace(seqs, starts=seqs.starts[:3])
     mutation_err = gradient_check(model, batch, epsilon=1e-5, grad_fn=zeroed_forget)
     assert mutation_err > 1e-2
     elapsed = time.time() - start

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,24 +17,26 @@ from conftest import make_series
 
 def naive_audit(result: SplitResult):
     """Independent oracle: rebuild every footprint element-by-element from
-    the pair fields and intersect plain Python sets."""
-    def pair_indices(pair):
+    the window starts and intersect plain Python sets."""
+    w, lag = result.test.config.window_size, result.test.config.lag_step
+
+    def pair_indices(t):
         s = set()
-        for j in range(pair.input.shape[0]):
-            s.add(pair.input_start + j)
-        s.add(pair.target_index)
+        for j in range(w):
+            s.add(t + j)
+        s.add(t + w + lag - 1)
         return s
 
     train = set()
-    for p in result.train.pairs:
-        train |= pair_indices(p)
+    for t in result.train.starts.tolist():
+        train |= pair_indices(t)
     if result.val is not None:
-        for p in result.val.pairs:
-            train |= pair_indices(p)
+        for t in result.val.starts.tolist():
+            train |= pair_indices(t)
     test = set()
     contaminated_pairs = 0
-    for p in result.test.pairs:
-        idx = pair_indices(p)
+    for t in result.test.starts.tolist():
+        idx = pair_indices(t)
         test |= idx
         if idx & train:
             contaminated_pairs += 1
@@ -129,6 +133,7 @@ def test_audit_equals_naive_oracle_exhaustively(n, w, lag, kind, mode, order):
         assert report.test_footprint_size == len(test)
         assert report.contaminated_test_pairs == contaminated
         assert report.is_contaminated == bool(overlap)
+        assert report.overlap_sample == tuple(sorted(overlap)[:20])
         if mode == "clean":
             assert report.overlap_count == 0
 
@@ -139,24 +144,20 @@ class TestApplyBuffer:
         # gap=0 must hand back the same partitions.
         (res,) = split(make_series(np.arange(10.0)), spec(SplitPlan.two_way()))
         buffered = apply_buffer(res, 0)
-        assert [p.input_start for p in buffered.train.pairs] == [
-            p.input_start for p in res.train.pairs
-        ]
+        assert buffered.train.starts.tolist() == res.train.starts.tolist()
         assert buffered.test is res.test
 
     def test_gap_zero_is_identity_on_clean(self, climate):
         (res,) = split(climate, spec(SplitPlan.two_way(), mode="clean", w=10, lag=1))
         buffered = apply_buffer(res, 0)
-        assert [p.input_start for p in buffered.train.pairs] == [
-            p.input_start for p in res.train.pairs
-        ]
+        assert buffered.train.starts.tolist() == res.train.starts.tolist()
 
     def test_gap_w_plus_l_clears_hand_example(self):
         # Enumerated: at gap 4 the widened range [1, 13] swallows train
         # pairs t=1..4, leaving t=0 with footprint {0..3}: overlap cleared.
         (res,) = split(make_series(np.arange(10.0)), spec(SplitPlan.two_way()))
         buffered = apply_buffer(res, 4)  # W + L
-        assert [p.input_start for p in buffered.train.pairs] == [0]
+        assert buffered.train.starts.tolist() == [0]
         assert not audit(buffered).is_contaminated
 
     def test_test_set_unchanged(self):
@@ -213,10 +214,8 @@ class TestMinimalClearingGap:
         (res,) = split(make_series(np.arange(9.0)), spec(SplitPlan.two_way(), w=2, lag=1))
         # Shrink train to a single pair adjacent to the test range so every
         # clearing gap empties it first.
-        from leakbench.windowing import with_pairs
-
         tight = SplitResult(
-            train=with_pairs(res.train, res.train.pairs[-1:]),
+            train=replace(res.train, starts=res.train.starts[-1:]),
             val=None,
             test=res.test,
             fold_index=0,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from leakbench.cli import main
+from leakbench.runner import ExperimentConfig, run_experiment
 from leakbench.splitting import SplitPlan
 from leakbench.synthetic import write_reference_csv
 
@@ -122,6 +123,20 @@ class TestAudit:
                 assert fields[7] == "0"
             else:
                 assert int(fields[7]) > 0
+
+
+    def test_audits_the_splits_run_trains_on(self, tmp_path, climate_csv, capsys):
+        # Random order gives every repetition its own split; the audit must
+        # report the split whose audits the run stores (repetition 0).
+        cfg = write_config(
+            tmp_path, climate_csv, windows=[10], lags=[1],
+            plans=[SplitPlan.two_way().to_dict()], modes=["leaky"],
+            order="random", base_seed=7,
+        )
+        assert main(["audit", cfg]) == 0
+        (row,) = capsys.readouterr().out.strip().splitlines()[1:]
+        report = run_experiment(ExperimentConfig.from_json_file(cfg))
+        assert int(row.split(",")[7]) == report.cells[0].audits[0].overlap_count == 1335
 
 
 class TestGain:

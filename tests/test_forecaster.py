@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from leakbench.forecaster import (
     train,
 )
 from leakbench.splitting import SplitPlan, SplitSpec, split
-from leakbench.windowing import WindowConfig, make_sequences, with_pairs
+from leakbench.windowing import WindowConfig, make_sequences
 
 from conftest import make_series
 
@@ -191,7 +192,7 @@ class TestTrain:
             climate,
             SplitSpec(plan=SplitPlan.two_way(), mode="clean", window=WindowConfig(10, 1)),
         )
-        sub = with_pairs(res.train, res.train.pairs[:300])
+        sub = replace(res.train, starts=res.train.starts[:300])
         firsts, lasts = [], []
         for seed in range(5):
             out = train(sub, None, TrainConfig(epochs=5, seed=seed), hidden_size=8)
@@ -256,14 +257,14 @@ class TestGradientCheck:
         rng = np.random.default_rng(12)
         model = LstmModel.initialize(4, rng)
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
-        batch = with_pairs(seqs, seqs.pairs[:3])
+        batch = replace(seqs, starts=seqs.starts[:3])
         assert gradient_check(model, batch, epsilon=1e-5) < 1e-4
 
     def test_zeroed_forget_gate_gradient_detected(self):
         rng = np.random.default_rng(12)
         model = LstmModel.initialize(4, rng)
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
-        batch = with_pairs(seqs, seqs.pairs[:3])
+        batch = replace(seqs, starts=seqs.starts[:3])
 
         def mutated(params, x, y):
             loss, grads = loss_and_gradients(params, x, y)
@@ -276,7 +277,7 @@ class TestGradientCheck:
     def test_zero_parameter_model_is_finite(self):
         model = LstmModel(3)
         seqs = make_sequences(np.arange(8.0), WindowConfig(3, 1))
-        batch = with_pairs(seqs, seqs.pairs[:2])
+        batch = replace(seqs, starts=seqs.starts[:2])
         assert math.isfinite(gradient_check(model, batch, epsilon=1e-5))
 
     def test_size_preconditions(self):
@@ -348,8 +349,8 @@ class TestLinearArBaseline:
         # x_t = 0.5 x_{t-1}, noiseless; W=1 keeps the design full rank.
         values = [1.0 * 0.5**i for i in range(12)]
         seqs = make_sequences(values, WindowConfig(1, 1))
-        train_set = with_pairs(seqs, seqs.pairs[:8])
-        eval_set = with_pairs(seqs, seqs.pairs[8:])
+        train_set = replace(seqs, starts=seqs.starts[:8])
+        eval_set = replace(seqs, starts=seqs.starts[8:])
         preds = baseline_linear_ar(train_set, eval_set)
         np.testing.assert_allclose(preds, eval_set.targets(), atol=1e-6)
 
@@ -360,6 +361,6 @@ class TestLinearArBaseline:
 
     def test_underdetermined_rejected(self):
         seqs = make_sequences(np.arange(8.0), WindowConfig(4, 1))
-        train_set = with_pairs(seqs, seqs.pairs[:4])  # |train| = W
+        train_set = replace(seqs, starts=seqs.starts[:4])  # |train| = W
         with pytest.raises(TrainingError, match="insufficient training pairs"):
             baseline_linear_ar(train_set, seqs)

@@ -66,8 +66,8 @@ class TestLeakySplits:
         # N=10, W=3, L=1: 7 pairs; train floor(0.8*7)=5, test 2.
         series = make_series(np.arange(10.0))
         (res,) = split(series, spec(SplitPlan.two_way()))
-        assert [p.input_start for p in res.train.pairs] == [0, 1, 2, 3, 4]
-        assert [p.input_start for p in res.test.pairs] == [5, 6]
+        assert res.train.starts.tolist() == [0, 1, 2, 3, 4]
+        assert res.test.starts.tolist() == [5, 6]
         assert res.val is None
 
     def test_three_way_flooring(self):
@@ -86,24 +86,19 @@ class TestLeakySplits:
     def test_partition_is_disjoint_and_complete(self):
         series = make_series(np.arange(40.0))
         (res,) = split(series, spec(SplitPlan.three_way(), w=4, lag=2))
-        starts = lambda s: {p.input_start for p in s.pairs}
+        starts = lambda s: set(s.starts.tolist())
         tr, va, te = starts(res.train), starts(res.val), starts(res.test)
         assert not (tr & va) and not (tr & te) and not (va & te)
-        assert tr | va | te == {p.input_start for p in
-                                split(series, spec(SplitPlan.two_way(), w=4, lag=2))[0].train.pairs} | \
-               {p.input_start for p in split(series, spec(SplitPlan.two_way(), w=4, lag=2))[0].test.pairs}
+        (two_way,) = split(series, spec(SplitPlan.two_way(), w=4, lag=2))
+        assert tr | va | te == starts(two_way.train) | starts(two_way.test)
 
     def test_random_order_partitions_by_shuffled_membership(self):
         series = make_series(np.arange(30.0))
         (seq_res,) = split(series, spec(SplitPlan.two_way()))
         (rand_res,) = split(series, spec(SplitPlan.two_way(), order="random", seed=5))
-        assert {p.input_start for p in rand_res.train.pairs} != {
-            p.input_start for p in seq_res.train.pairs
-        }
+        assert set(rand_res.train.starts.tolist()) != set(seq_res.train.starts.tolist())
         # union of partitions is still the full pair set (30 - 3 - 1 + 1)
-        all_starts = {p.input_start for p in rand_res.train.pairs} | {
-            p.input_start for p in rand_res.test.pairs
-        }
+        all_starts = set(rand_res.train.starts.tolist()) | set(rand_res.test.starts.tolist())
         assert all_starts == set(range(27))
 
     def test_random_order_is_seed_deterministic(self):
@@ -111,9 +106,7 @@ class TestLeakySplits:
         a = split(series, spec(SplitPlan.k_fold(3), order="random", seed=9))
         b = split(series, spec(SplitPlan.k_fold(3), order="random", seed=9))
         for ra, rb in zip(a, b):
-            assert [p.input_start for p in ra.test.pairs] == [
-                p.input_start for p in rb.test.pairs
-            ]
+            assert ra.test.starts.tolist() == rb.test.starts.tolist()
 
     def test_k_fold_coverage(self):
         series = make_series(np.arange(50.0))
@@ -121,7 +114,7 @@ class TestLeakySplits:
         assert len(results) == 10
         seen: list[int] = []
         for res in results:
-            seen.extend(p.input_start for p in res.test.pairs)
+            seen.extend(res.test.starts.tolist())
         assert sorted(seen) == list(range(45))  # every pair in exactly one test
 
     def test_k_fold_block_sizing(self):
@@ -170,11 +163,21 @@ class TestCleanSplits:
         results = split(series, spec(SplitPlan.k_fold(5), mode="clean", w=4, lag=2))
         for res in results:
             for s in (res.train, res.test):
-                for p in s.pairs:
-                    assert any(
-                        lo <= p.input_start and p.target_index < hi
-                        for lo, hi in s.source_range
-                    )
+                for t, target in zip(s.starts.tolist(), s.target_indices().tolist()):
+                    assert any(lo <= t and target < hi for lo, hi in s.source_range)
+
+    def test_k_fold_train_is_both_runs_in_order(self):
+        # N=47, W=3, L=1, k=4: blocks [0,12) [12,24) [24,36) [36,47)
+        series = make_series(np.arange(47.0))
+        results = split(series, spec(SplitPlan.k_fold(4), mode="clean", w=3, lag=1))
+        middle = results[1]
+        assert middle.train.source_range == ((0, 12), (24, 47))
+        assert middle.train.starts.tolist() == list(range(0, 9)) + list(range(24, 44))
+        np.testing.assert_array_equal(middle.train.targets(), middle.train.starts + 3)
+        assert results[0].train.source_range == ((12, 47),)
+        assert results[0].train.starts.tolist() == list(range(12, 44))
+        assert results[3].train.source_range == ((0, 36),)
+        assert results[3].train.starts.tolist() == list(range(0, 33))
 
     def test_k_fold_raw_coverage(self):
         series = make_series(np.arange(47.0))
@@ -223,9 +226,5 @@ def test_determinism_same_spec_same_result(n, w, lag, seed):
     except SplitError:
         return
     for ra, rb in zip(a, b):
-        assert [p.input_start for p in ra.train.pairs] == [
-            p.input_start for p in rb.train.pairs
-        ]
-        assert [p.input_start for p in ra.test.pairs] == [
-            p.input_start for p in rb.test.pairs
-        ]
+        assert ra.train.starts.tolist() == rb.train.starts.tolist()
+        assert ra.test.starts.tolist() == rb.test.starts.tolist()

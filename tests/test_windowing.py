@@ -1,19 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakbench.audit import footprint_mask
 from leakbench.errors import WindowError
-from leakbench.windowing import (
-    SequenceSet,
-    WindowConfig,
-    footprint,
-    make_sequences,
-    merge_sequence_sets,
-    with_pairs,
-)
+from leakbench.splitting import SplitPlan, SplitSpec, split
+from leakbench.windowing import SequenceSet, WindowConfig, make_sequences
+
+from conftest import make_series
 
 
 def brute_force_windows(values, w, lag):
@@ -50,11 +49,10 @@ class TestMakeSequences:
     def test_hand_enumerated_pair(self):
         seqs = make_sequences([1.0, 2.0, 3.0, 4.0, 5.0], WindowConfig(3, 2))
         assert len(seqs) == 1
-        pair = seqs.pairs[0]
-        assert list(pair.input) == [1.0, 2.0, 3.0]
-        assert pair.target == 5.0
-        assert pair.input_start == 0
-        assert pair.target_index == 4
+        assert list(seqs.inputs()[0]) == [1.0, 2.0, 3.0]
+        assert seqs.targets()[0] == 5.0
+        assert seqs.starts[0] == 0
+        assert seqs.target_indices()[0] == 4
 
     def test_insufficient_length_yields_empty(self):
         seqs = make_sequences([1.0, 2.0, 3.0], WindowConfig(3, 1))
@@ -62,9 +60,9 @@ class TestMakeSequences:
 
     def test_offset_shifts_provenance(self):
         seqs = make_sequences([5.0, 6.0, 7.0, 8.0], WindowConfig(2, 1), offset=100)
-        starts = [p.input_start for p in seqs.pairs]
-        assert starts == [100, 101]
-        assert seqs.pairs[0].target_index == 102
+        assert list(seqs.starts) == [100, 101]
+        assert seqs.target_indices()[0] == 102
+        assert list(seqs.targets()) == [7.0, 8.0]
         assert seqs.source_range == ((100, 104),)
 
     @settings(max_examples=200, deadline=None)
@@ -78,38 +76,45 @@ class TestMakeSequences:
         seqs = make_sequences(values, WindowConfig(w, lag))
         oracle = brute_force_windows(values, w, lag)
         assert len(seqs) == len(oracle) == max(0, n - w - lag + 1)
-        for pair, (inp, target, t, target_idx) in zip(seqs.pairs, oracle):
-            assert list(pair.input) == inp
-            assert pair.target == target
-            assert pair.input_start == t
-            assert pair.target_index == target_idx
+        inputs, targets = seqs.inputs(), seqs.targets()
+        for k, (inp, target, t, target_idx) in enumerate(oracle):
+            assert list(inputs[k]) == inp
+            assert targets[k] == target
+            assert seqs.starts[k] == t
+            assert seqs.target_indices()[k] == target_idx
 
     def test_reconstruction_of_segment_prefix(self):
         values = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         seqs = make_sequences(values, WindowConfig(3, 1))
-        firsts = [p.input[0] for p in seqs.pairs]
+        firsts = seqs.inputs()[:, 0]
         np.testing.assert_array_equal(firsts, values[: len(seqs)])
-        np.testing.assert_array_equal(seqs.pairs[-1].input, values[len(seqs) - 1 : len(seqs) + 2])
+        np.testing.assert_array_equal(seqs.inputs()[-1], values[len(seqs) - 1 : len(seqs) + 2])
 
     def test_causality(self):
         seqs = make_sequences(np.arange(30.0), WindowConfig(4, 3))
-        for p in seqs.pairs:
-            assert p.target_index >= p.input_start + 4
+        assert np.all(seqs.target_indices() >= seqs.starts + 4)
 
 
 class TestFootprint:
+    """A pair's footprint is the mask of its window indices plus its target."""
+
+    @staticmethod
+    def footprint_of(seqs, t):
+        (k,) = np.flatnonzero(seqs.starts == t)
+        single = replace(seqs, starts=seqs.starts[k : k + 1])
+        return frozenset(int(i) for i in np.flatnonzero(footprint_mask(single, len(seqs.values))))
+
     def test_w3_l1(self):
         seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
-        assert footprint(seqs.pairs[0]) == frozenset({0, 1, 2, 3})
+        assert self.footprint_of(seqs, 0) == frozenset({0, 1, 2, 3})
 
     def test_w3_l3_gap(self):
         seqs = make_sequences(np.arange(20.0), WindowConfig(3, 3))
-        pair = next(p for p in seqs.pairs if p.input_start == 5)
-        assert footprint(pair) == frozenset({5, 6, 7, 10})
+        assert self.footprint_of(seqs, 5) == frozenset({5, 6, 7, 10})
 
     def test_minimal_config(self):
         seqs = make_sequences(np.arange(5.0), WindowConfig(1, 1))
-        assert footprint(seqs.pairs[0]) == frozenset({0, 1})
+        assert self.footprint_of(seqs, 0) == frozenset({0, 1})
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -118,43 +123,26 @@ class TestFootprint:
     )
     def test_cardinality_is_w_plus_one(self, w, lag):
         seqs = make_sequences(np.arange(float(w + lag)), WindowConfig(w, lag))
-        assert len(footprint(seqs.pairs[0])) == w + 1
+        assert len(self.footprint_of(seqs, 0)) == w + 1
 
 
 class TestSequenceSet:
     def test_rejects_unordered_pairs(self):
         seqs = make_sequences(np.arange(8.0), WindowConfig(2, 1))
         with pytest.raises(WindowError, match="ordered"):
-            SequenceSet(
-                pairs=tuple(reversed(seqs.pairs)),
-                source_range=seqs.source_range,
-                config=seqs.config,
-            )
+            replace(seqs, starts=seqs.starts[::-1])
 
     def test_rejects_out_of_range_pair(self):
         seqs = make_sequences(np.arange(8.0), WindowConfig(2, 1))
         with pytest.raises(WindowError, match="outside source range"):
-            SequenceSet(pairs=seqs.pairs, source_range=((0, 3),), config=seqs.config)
+            replace(seqs, source_range=((0, 3),))
 
-    def test_merge_keeps_order_and_ranges(self):
-        a = make_sequences(np.arange(6.0), WindowConfig(2, 1), offset=0)
-        b = make_sequences(np.arange(6.0), WindowConfig(2, 1), offset=10)
-        merged = merge_sequence_sets([b, a])
-        starts = [p.input_start for p in merged.pairs]
-        assert starts == sorted(starts)
-        assert merged.source_range == ((0, 6), (10, 16))
-
-    def test_merge_rejects_mixed_configs(self):
-        a = make_sequences(np.arange(6.0), WindowConfig(2, 1))
-        b = make_sequences(np.arange(6.0), WindowConfig(3, 1), offset=10)
-        with pytest.raises(WindowError, match="different configs"):
-            merge_sequence_sets([a, b])
-
-    def test_with_pairs_subsets(self):
+    def test_starts_and_values_are_read_only(self):
         seqs = make_sequences(np.arange(9.0), WindowConfig(2, 1))
-        sub = with_pairs(seqs, seqs.pairs[2:5])
-        assert len(sub) == 3
-        assert sub.source_range == seqs.source_range
+        with pytest.raises(ValueError):
+            seqs.starts[0] = 5
+        with pytest.raises(ValueError):
+            seqs.values[0] = 5.0
 
     def test_inputs_targets_shapes(self):
         seqs = make_sequences(np.arange(9.0), WindowConfig(3, 1))
@@ -162,3 +150,52 @@ class TestSequenceSet:
         assert seqs.targets().shape == (6,)
         empty = make_sequences(np.arange(2.0), WindowConfig(3, 1))
         assert empty.inputs().shape == (0, 3)
+
+
+def naive_pairs(values, starts, origin, w, lag):
+    """Independent oracle: one window copy and one target per start."""
+    inputs = [[values[t - origin + j] for j in range(w)] for t in starts]
+    targets = [values[t - origin + w + lag - 1] for t in starts]
+    return inputs, targets
+
+
+class TestGather:
+    """inputs()/targets() equal a per-window loop over the starts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        w=st.integers(min_value=1, max_value=8),
+        lag=st.integers(min_value=1, max_value=3),
+        offset=st.integers(min_value=0, max_value=50),
+    )
+    def test_segment_with_offset(self, n, w, lag, offset):
+        values = np.random.default_rng(n).normal(size=n)
+        seqs = make_sequences(values, WindowConfig(w, lag), offset=offset)
+        inputs, targets = naive_pairs(values, seqs.starts, offset, w, lag)
+        assert seqs.inputs().shape == (len(seqs), w)
+        assert seqs.inputs().tolist() == inputs
+        assert seqs.targets().tolist() == targets
+
+    @pytest.mark.parametrize("plan", [SplitPlan.two_way(), SplitPlan.three_way(), SplitPlan.k_fold(4)])
+    def test_random_order_leaky_partitions(self, plan):
+        values = np.random.default_rng(3).normal(size=60)
+        series = make_series(values)
+        spec = SplitSpec(plan=plan, mode="leaky", window=WindowConfig(4, 2), order="random", seed=11)
+        for res in split(series, spec):
+            for seqs in (res.train, res.val, res.test):
+                if seqs is None:
+                    continue
+                inputs, targets = naive_pairs(values, seqs.starts, 0, 4, 2)
+                assert seqs.inputs().tolist() == inputs
+                assert seqs.targets().tolist() == targets
+
+    def test_clean_k_fold_train_spans_two_runs(self):
+        values = np.random.default_rng(4).normal(size=60)
+        series = make_series(values)
+        spec = SplitSpec(plan=SplitPlan.k_fold(5), mode="clean", window=WindowConfig(3, 1))
+        for res in split(series, spec):
+            for seqs in (res.train, res.test):
+                inputs, targets = naive_pairs(values, seqs.starts, 0, 3, 1)
+                assert seqs.inputs().tolist() == inputs
+                assert seqs.targets().tolist() == targets
