@@ -28,11 +28,9 @@ from .forecaster import (
     baseline_linear_ar,
     baseline_persistence,
     gradient_check,
-    load_checkpoint,
-    lstm_forward,
     predict,
-    save_checkpoint,
     train,
+    unpack,
     write_loss_history,
 )
 from .metrics import GainRecord, RunStats, aggregate, leakage_rank, rmse, rmse_gain
@@ -55,7 +53,7 @@ from .series import (
     seasonal_decompose,
     write_csv,
 )
-from .splitting import SplitPlan, SplitResult, SplitSpec, describe_split, split
+from .splitting import SplitPlan, SplitResult, SplitSpec, split
 from .synthetic import reference_series, write_reference_csv
 from .windowing import SequenceSet, WindowConfig, make_sequences
 
@@ -92,15 +90,12 @@ __all__ = [
     "baseline_linear_ar",
     "baseline_persistence",
     "describe",
-    "describe_split",
     "emit_plot_data",
     "emit_report",
     "gradient_check",
     "leakage_rank",
-    "load_checkpoint",
     "load_csv",
     "load_report",
-    "lstm_forward",
     "make_sequences",
     "minimal_clearing_gap",
     "predict",
@@ -109,10 +104,10 @@ __all__ = [
     "rmse",
     "rmse_gain",
     "run_experiment",
-    "save_checkpoint",
     "seasonal_decompose",
     "split",
     "train",
+    "unpack",
     "write_csv",
     "write_loss_history",
     "write_reference_csv",

@@ -18,7 +18,6 @@ restore, and scaling fitted on the training partition only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,9 +29,6 @@ from .errors import TrainingError
 from .windowing import SequenceSet
 
 SCALING_KINDS = ("none", "minmax", "zscore")
-
-PARAM_KEYS = ("w_i", "w_f", "w_g", "w_o", "b_i", "b_f", "b_g", "b_o", "w_out", "b_out")
-
 
 @dataclass(frozen=True)
 class Scaler:
@@ -70,95 +66,89 @@ class Scaler:
 class LstmModel:
     """Single-layer LSTM with H hidden units and a scalar dense head.
 
-    Parameters live in a dict of float64 arrays: four gate matrices of
-    shape (H, 1+H), four gate biases of shape (H,), head weights (H,) and
-    head bias (1,).
+    All parameters live in one float64 vector `theta`: the stacked gate
+    matrix (4H, 1+H) with row blocks (i, f, o, g), then the stacked gate
+    bias (4H,), the head weights (H,) and the head bias (1,). `unpack`
+    gives named views into it.
     """
 
-    def __init__(self, hidden_size: int, params: dict[str, np.ndarray] | None = None):
+    def __init__(self, hidden_size: int, theta: np.ndarray | None = None):
         if hidden_size < 1:
             raise TrainingError(f"hidden_size must be >= 1, got {hidden_size}")
         self.hidden_size = hidden_size
-        if params is None:
-            h = hidden_size
-            params = {}
-            for gate in ("i", "f", "g", "o"):
-                params[f"w_{gate}"] = np.zeros((h, 1 + h))
-                params[f"b_{gate}"] = np.zeros(h)
-            params["w_out"] = np.zeros(h)
-            params["b_out"] = np.zeros(1)
-        self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
-        self._check_shapes()
-
-    def _check_shapes(self) -> None:
-        h = self.hidden_size
-        expected = {f"w_{g}": (h, 1 + h) for g in "ifgo"}
-        expected.update({f"b_{g}": (h,) for g in "ifgo"})
-        expected["w_out"] = (h,)
-        expected["b_out"] = (1,)
-        for key in PARAM_KEYS:
-            if key not in self.params:
-                raise TrainingError(f"missing parameter {key}")
-            if self.params[key].shape != expected[key]:
-                raise TrainingError(
-                    f"parameter {key} has shape {self.params[key].shape}, "
-                    f"expected {expected[key]}"
-                )
+        size = 4 * hidden_size * (1 + hidden_size) + 5 * hidden_size + 1
+        self.theta = np.zeros(size) if theta is None else np.asarray(theta, dtype=float)
+        if self.theta.shape != (size,):
+            raise TrainingError(
+                f"theta has shape {self.theta.shape}, expected ({size},) for "
+                f"hidden_size {hidden_size}"
+            )
 
     @classmethod
     def initialize(cls, hidden_size: int, rng: np.random.Generator) -> "LstmModel":
         """Uniform(-k, k) weights with k = 1/sqrt(H); zero biases except the
-        forget-gate bias, which starts at 1 for gradient stability."""
+        forget-gate bias, which starts at 1 for gradient stability. Weights
+        are drawn gate by gate in the order (i, f, g, o), not the row order,
+        then the head; seeded results depend on this draw order."""
         h = hidden_size
         k = 1.0 / np.sqrt(h)
-        params = {}
-        for gate in ("i", "f", "g", "o"):
-            params[f"w_{gate}"] = rng.uniform(-k, k, size=(h, 1 + h))
-            params[f"b_{gate}"] = np.zeros(h)
-        params["b_f"] = np.ones(h)
-        params["w_out"] = rng.uniform(-k, k, size=h)
-        params["b_out"] = np.zeros(1)
-        return cls(hidden_size, params)
-
-    def copy(self) -> "LstmModel":
-        return LstmModel(
-            self.hidden_size, {k: v.copy() for k, v in self.params.items()}
-        )
+        model = cls(h)
+        views = unpack(model.theta, h)
+        for gate in "ifgo":
+            views[f"w_{gate}"][:] = rng.uniform(-k, k, size=(h, 1 + h))
+        views["b_f"][:] = 1.0
+        views["w_out"][:] = rng.uniform(-k, k, size=h)
+        return model
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Predict a scalar per row of a (batch, W) input matrix."""
-        y, _ = _forward_cached(self.params, np.atleast_2d(np.asarray(inputs, float)))
+        y, _ = _forward_cached(self, np.atleast_2d(np.asarray(inputs, float)))
         if not np.all(np.isfinite(y)):
             raise TrainingError("non-finite value in forward pass")
         return y
 
 
-def lstm_forward(model: LstmModel, inputs: np.ndarray) -> float:
-    """Run one input window through the network; deterministic."""
-    return float(model.forward(np.asarray(inputs, dtype=float).reshape(1, -1))[0])
+def _blocks(vec: np.ndarray, hidden_size: int):
+    """(gate matrix, gate bias, head weights, head bias) views of a vector in
+    the parameter layout. The gate rows are stacked (i, f, o, g) so the hot
+    loop does one matmul per step, one sigmoid over the first three blocks
+    and one tanh over the last."""
+    h = hidden_size
+    nw = 4 * h * (1 + h)
+    return (
+        vec[:nw].reshape(4 * h, 1 + h),
+        vec[nw : nw + 4 * h],
+        vec[nw + 4 * h : nw + 5 * h],
+        vec[nw + 5 * h :],
+    )
 
 
-# Gate matrices are stacked row-wise in the order (i, f, o, g) for the hot
-# loop: one matmul per step, one sigmoid over the first three blocks and one
-# tanh over the last.
-def _stack(params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    w = np.vstack([params["w_i"], params["w_f"], params["w_o"], params["w_g"]])
-    b = np.concatenate([params["b_i"], params["b_f"], params["b_o"], params["b_g"]])
-    return w, b
+def unpack(vec: np.ndarray, hidden_size: int) -> dict[str, np.ndarray]:
+    """Named views (w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g, w_out, b_out) into
+    a parameter or gradient vector; writing to a view writes to `vec`."""
+    h = hidden_size
+    w, b, w_out, b_out = _blocks(vec, h)
+    views = {}
+    for k, gate in enumerate("ifog"):
+        views[f"w_{gate}"] = w[k * h : (k + 1) * h]
+        views[f"b_{gate}"] = b[k * h : (k + 1) * h]
+    views["w_out"] = w_out
+    views["b_out"] = b_out
+    return views
 
 
-def _forward_cached(params: dict[str, np.ndarray], x: np.ndarray):
+def _forward_cached(model: LstmModel, x: np.ndarray):
     """Batched forward pass keeping per-step activations for BPTT."""
     batch, steps = x.shape
-    h_size = params["w_out"].shape[0]
-    w_stack, b_stack = _stack(params)
-    w_stack_t = w_stack.T
+    h_size = model.hidden_size
+    w, b, w_out, b_out = _blocks(model.theta, h_size)
+    w_t = w.T
     h = np.zeros((batch, h_size))
     c = np.zeros((batch, h_size))
     caches = []
     for t in range(steps):
         z = np.concatenate([x[:, t : t + 1], h], axis=1)
-        pre = z @ w_stack_t + b_stack
+        pre = z @ w_t + b
         act = np.empty_like(pre)
         act[:, : 3 * h_size] = sigmoid(pre[:, : 3 * h_size])
         act[:, 3 * h_size :] = np.tanh(pre[:, 3 * h_size :])
@@ -171,26 +161,28 @@ def _forward_cached(params: dict[str, np.ndarray], x: np.ndarray):
         tc = np.tanh(c)
         h = o * tc
         caches.append((z, act, c_prev, tc))
-    y = h @ params["w_out"] + params["b_out"][0]
-    return y, (caches, h, w_stack)
+    y = h @ w_out + b_out[0]
+    return y, (caches, h)
 
 
 def loss_and_gradients(
-    params: dict[str, np.ndarray], x: np.ndarray, targets: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch-mean MSE and its analytic gradient for every parameter."""
+    model: LstmModel, x: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Batch-mean MSE and its analytic gradient, one vector in the layout
+    of `model.theta`."""
     batch = x.shape[0]
-    h_size = params["w_out"].shape[0]
-    y, (caches, h_last, w_stack) = _forward_cached(params, x)
+    h_size = model.hidden_size
+    y, (caches, h_last) = _forward_cached(model, x)
     resid = y - targets
     loss = float(np.mean(resid**2))
 
-    dw_stack = np.zeros_like(w_stack)
-    db_stack = np.zeros(4 * h_size)
+    w, _, w_out, _ = _blocks(model.theta, h_size)
+    grad = np.zeros_like(model.theta)
+    dw, db, dw_out, db_out = _blocks(grad, h_size)
     dy = 2.0 * resid / batch
-    dw_out = h_last.T @ dy
-    db_out = dy.sum()
-    dh = np.outer(dy, params["w_out"])
+    dw_out[:] = h_last.T @ dy
+    db_out[0] = dy.sum()
+    dh = np.outer(dy, w_out)
     dc = np.zeros_like(dh)
     da = np.empty((batch, 4 * h_size))
     for t in range(len(caches) - 1, -1, -1):
@@ -205,24 +197,12 @@ def loss_and_gradients(
         da[:, h_size : 2 * h_size] = (dc * c_prev) * f * (1.0 - f)
         da[:, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
         da[:, 3 * h_size :] = (dc * i) * (1.0 - g**2)
-        dw_stack += da.T @ z
-        db_stack += da.sum(axis=0)
-        dz = da @ w_stack
+        dw += da.T @ z
+        db += da.sum(axis=0)
+        dz = da @ w
         dh = dz[:, 1:]
         dc = dc * f
-    grads = {
-        "w_i": dw_stack[:h_size],
-        "w_f": dw_stack[h_size : 2 * h_size],
-        "w_o": dw_stack[2 * h_size : 3 * h_size],
-        "w_g": dw_stack[3 * h_size :],
-        "b_i": db_stack[:h_size],
-        "b_f": db_stack[h_size : 2 * h_size],
-        "b_o": db_stack[2 * h_size : 3 * h_size],
-        "b_g": db_stack[3 * h_size :],
-        "w_out": dw_out,
-        "b_out": np.array([db_out]),
-    }
-    return loss, grads
+    return loss, grad
 
 
 class _Adam:
@@ -230,7 +210,7 @@ class _Adam:
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        size: int,
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -241,18 +221,16 @@ class _Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for key, p in params.items():
-            gr = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * gr
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * gr**2
-            p -= self.lr * (self.m[key] / c1) / (np.sqrt(self.v[key] / c2) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
+        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -356,7 +334,7 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     model = LstmModel.initialize(hidden_size, rng)
-    adam = _Adam(model.params, cfg.learning_rate)
+    adam = _Adam(model.theta.size, cfg.learning_rate)
 
     n = x_train.shape[0]
     train_hist: list[float] = []
@@ -364,7 +342,7 @@ def train(
     monitor_hist: list[float] = []
     best_monitor = np.inf
     best_epoch = 0
-    best_params: dict[str, np.ndarray] | None = None
+    best_theta: np.ndarray | None = None
     wait = 0
     last_epoch = 0
 
@@ -373,16 +351,16 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_gradients(model.params, x_train[idx], y_train[idx])
+            loss, grad = loss_and_gradients(model, x_train[idx], y_train[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
-            adam.step(model.params, grads)
+            adam.step(model.theta, grad)
             sq_sum += loss * idx.shape[0]
         epoch_train_mse = sq_sum / n
         train_hist.append(epoch_train_mse)
 
         if x_val is not None:
-            preds, _ = _forward_cached(model.params, x_val)
+            preds, _ = _forward_cached(model, x_val)
             val_mse = float(np.mean((preds - y_val) ** 2))
             if not np.isfinite(val_mse):
                 raise TrainingError(f"validation loss diverged at epoch {epoch}")
@@ -398,14 +376,14 @@ def train(
             best_epoch = epoch
             wait = 0
             if cfg.early_stopping:
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_theta = model.theta.copy()
         else:
             wait += 1
             if cfg.early_stopping and wait >= cfg.patience:
                 break
 
-    if cfg.early_stopping and best_params is not None:
-        model = LstmModel(hidden_size, best_params)
+    if cfg.early_stopping and best_theta is not None:
+        model = LstmModel(hidden_size, best_theta)
 
     if val_set is not None or cfg.early_stopping:
         optimal_epoch = best_epoch
@@ -430,51 +408,6 @@ def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:
     return scaler.inverse_transform(outputs)
 
 
-def save_checkpoint(outcome: TrainOutcome, path) -> None:
-    """Write model parameters, scaler, and epoch record as JSON."""
-    payload = {
-        "hidden_size": outcome.model.hidden_size,
-        "params": {k: v.tolist() for k, v in outcome.model.params.items()},
-        "scaler": {
-            "kind": outcome.scaler.kind,
-            "shift": outcome.scaler.shift,
-            "scale": outcome.scaler.scale,
-        },
-        "optimal_epoch": outcome.optimal_epoch,
-        "last_epoch": outcome.last_epoch,
-        "train_loss_history": list(outcome.train_loss_history),
-        "val_loss_history": (
-            list(outcome.val_loss_history)
-            if outcome.val_loss_history is not None
-            else None
-        ),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_checkpoint(path) -> TrainOutcome:
-    """Inverse of save_checkpoint; restores an identical TrainOutcome."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = LstmModel(
-        int(payload["hidden_size"]),
-        {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()},
-    )
-    scaler = Scaler(
-        kind=payload["scaler"]["kind"],
-        shift=float(payload["scaler"]["shift"]),
-        scale=float(payload["scaler"]["scale"]),
-    )
-    val_hist = payload["val_loss_history"]
-    return TrainOutcome(
-        model=model,
-        scaler=scaler,
-        train_loss_history=tuple(payload["train_loss_history"]),
-        val_loss_history=tuple(val_hist) if val_hist is not None else None,
-        optimal_epoch=int(payload["optimal_epoch"]),
-        last_epoch=int(payload["last_epoch"]),
-    )
-
-
 def write_loss_history(outcome: TrainOutcome, path) -> None:
     """Per-epoch loss record as CSV: epoch,train_mse[,val_mse]."""
     has_val = outcome.val_loss_history is not None
@@ -487,7 +420,7 @@ def write_loss_history(outcome: TrainOutcome, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-GradFn = Callable[[dict[str, np.ndarray], np.ndarray, np.ndarray], tuple[float, dict]]
+GradFn = Callable[[LstmModel, np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
 
 def gradient_check(
@@ -513,22 +446,21 @@ def gradient_check(
     x = batch.inputs()
     y = batch.targets()
     fn = grad_fn if grad_fn is not None else loss_and_gradients
-    _, grads = fn(model.params, x, y)
+    _, grad = fn(model, x, y)
 
+    theta = model.theta
     max_rel = 0.0
-    for key in PARAM_KEYS:
-        arr = model.params[key]
-        for idx in range(arr.size):
-            orig = arr.flat[idx]
-            arr.flat[idx] = orig + epsilon
-            up, _ = _forward_cached(model.params, x)
-            arr.flat[idx] = orig - epsilon
-            down, _ = _forward_cached(model.params, x)
-            arr.flat[idx] = orig
-            numeric = (np.mean((up - y) ** 2) - np.mean((down - y) ** 2)) / (2 * epsilon)
-            analytic = grads[key].flat[idx]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(analytic - numeric) / denom)
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + epsilon
+        up, _ = _forward_cached(model, x)
+        theta[idx] = orig - epsilon
+        down, _ = _forward_cached(model, x)
+        theta[idx] = orig
+        numeric = (np.mean((up - y) ** 2) - np.mean((down - y) ** 2)) / (2 * epsilon)
+        analytic = grad[idx]
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        max_rel = max(max_rel, abs(analytic - numeric) / denom)
     return max_rel
 
 

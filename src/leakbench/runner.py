@@ -5,13 +5,15 @@ and emit CSV/JSON reports plus long-format plot data.
 Per-run seeds derive from the base seed and the cell coordinates (never
 from grid position), so a cell's results do not depend on which other
 cells run alongside it and grids can execute concurrently. A null base
-seed means fresh entropy per run.
+seed draws one base seed per experiment; the report's provenance records
+it, so the run can be replayed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import secrets
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -318,12 +320,13 @@ def _execute_task(
     series: TimeSeries, cfg: ExperimentConfig, task: tuple[Cell, int, SplitSpec]
 ) -> tuple[Cell, int, "_RunOutcome | Exception"]:
     """One (cell, repetition) unit of work; module-level so worker
-    processes can pickle it. Errors come back as values and are re-raised
-    (or recorded) by the parent."""
+    processes can pickle it. Errors of any kind come back as values and are
+    re-raised (or recorded) by the parent, so one failing task cannot lose
+    the rest of the grid."""
     cell, rep, spec = task
     try:
         return cell, rep, _run_once(series, cfg, cell, rep, spec)
-    except LeakbenchError as exc:
+    except Exception as exc:
         return cell, rep, exc
 
 
@@ -337,7 +340,12 @@ def run_experiment(
     keep_going), train, predict on test, RMSE. A cell's run RMSE under
     k-fold is the mean of its per-fold test RMSEs. Cell failures abort
     unless keep_going, in which case they are recorded in report.errors.
+    A null base_seed is replaced by one drawn seed, which the provenance
+    config records (with base_seed_drawn true).
     """
+    seed_drawn = cfg.base_seed is None
+    if seed_drawn:
+        cfg = replace(cfg, base_seed=secrets.randbits(63))
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     grid = grid_splits(cfg)
     cells = [cell for cell, _ in grid]
@@ -358,12 +366,15 @@ def run_experiment(
         if isinstance(outcome, ContaminationError):
             raise outcome
         if isinstance(outcome, Exception):
+            detail = outcome if isinstance(outcome, LeakbenchError) else (
+                f"{type(outcome).__name__}: {outcome}"
+            )
             msg = (
                 f"cell W={cell.window} L={cell.lag} plan={cell.plan.label} "
-                f"mode={cell.mode} rep={rep}: {outcome}"
+                f"mode={cell.mode} rep={rep}: {detail}"
             )
             if not keep_going:
-                raise SplitError(msg)
+                raise SplitError(msg) from outcome
             errors.append(msg)
             failed_cells.add(cell.key)
         else:
@@ -395,6 +406,7 @@ def run_experiment(
     gains = _pair_gains(cell_results)
     provenance = {
         "config": cfg.to_dict(),
+        "base_seed_drawn": seed_drawn,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "conventions": dict(_CONVENTIONS),

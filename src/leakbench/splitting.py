@@ -319,19 +319,3 @@ def _split_clean(series: TimeSeries, spec: SplitSpec, n: int) -> list[SplitResul
             )
         results.append(SplitResult(train=train, val=None, test=test, fold_index=i))
     return results
-
-
-def describe_split(result: SplitResult) -> str:
-    """One-line human-readable summary of partition sizes and raw ranges."""
-
-    def ranges(s: SequenceSet) -> str:
-        return ",".join(f"[{a},{b})" for a, b in s.source_range)
-
-    parts = [
-        f"fold={result.fold_index}",
-        f"train={len(result.train)} pairs raw {ranges(result.train)}",
-    ]
-    if result.val is not None:
-        parts.append(f"val={len(result.val)} pairs raw {ranges(result.val)}")
-    parts.append(f"test={len(result.test)} pairs raw {ranges(result.test)}")
-    return " | ".join(parts)

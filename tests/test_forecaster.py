@@ -17,9 +17,9 @@ from leakbench.forecaster import (
     baseline_persistence,
     gradient_check,
     loss_and_gradients,
-    lstm_forward,
     predict,
     train,
+    unpack,
 )
 from leakbench.splitting import SplitPlan, SplitSpec, split
 from leakbench.windowing import WindowConfig, make_sequences
@@ -31,22 +31,26 @@ from conftest import make_series
 PERSISTENCE_FIXTURE = 1.4390452156219489
 
 
+HAND_WEIGHTS = {
+    "w_i": [[0.5, -0.25]],
+    "w_f": [[0.3, 0.2]],
+    "w_g": [[-0.4, 0.6]],
+    "w_o": [[0.7, -0.1]],
+    "b_i": [0.1],
+    "b_f": [0.0],
+    "b_g": [-0.2],
+    "b_o": [0.05],
+    "w_out": [1.5],
+    "b_out": [-0.3],
+}
+
+
 def hand_weights_model() -> LstmModel:
-    return LstmModel(
-        1,
-        {
-            "w_i": [[0.5, -0.25]],
-            "w_f": [[0.3, 0.2]],
-            "w_g": [[-0.4, 0.6]],
-            "w_o": [[0.7, -0.1]],
-            "b_i": [0.1],
-            "b_f": [0.0],
-            "b_g": [-0.2],
-            "b_o": [0.05],
-            "w_out": [1.5],
-            "b_out": [-0.3],
-        },
-    )
+    model = LstmModel(1)
+    views = unpack(model.theta, 1)
+    for key, value in HAND_WEIGHTS.items():
+        views[key][...] = value
+    return model
 
 
 def hand_unrolled_reference(x: list[float]) -> float:
@@ -67,12 +71,12 @@ def hand_unrolled_reference(x: list[float]) -> float:
 class TestForward:
     def test_zero_network_outputs_zero(self):
         model = LstmModel(3)
-        assert lstm_forward(model, [1.0, -2.0, 0.5]) == 0.0
+        assert model.forward([[1.0, -2.0, 0.5]])[0] == 0.0
 
     def test_hand_unrolled_two_step(self):
         model = hand_weights_model()
         x = [1.0, -1.0]
-        assert lstm_forward(model, x) == pytest.approx(
+        assert model.forward([x])[0] == pytest.approx(
             hand_unrolled_reference(x), abs=1e-12
         )
 
@@ -80,25 +84,58 @@ class TestForward:
         rng = np.random.default_rng(7)
         model = LstmModel.initialize(6, rng)
         x = rng.normal(size=4)
-        assert lstm_forward(model, x) == lstm_forward(model, x)
+        assert model.forward([x])[0] == model.forward([x])[0]
 
     def test_non_finite_intermediate_detected(self):
         model = hand_weights_model()
         broken = hand_weights_model()
-        broken.params["w_out"][0] = np.inf
+        unpack(broken.theta, 1)["w_out"][0] = np.inf
         with pytest.raises(TrainingError, match="non-finite"):
             broken.forward(np.array([[1.0, -1.0]]))
         # saturating gates keep extreme but finite inputs finite
-        assert math.isfinite(lstm_forward(model, [1e6, -1e6]))
+        assert math.isfinite(model.forward([[1e6, -1e6]])[0])
 
     def test_initialize_shapes_and_forget_bias(self):
         model = LstmModel.initialize(5, np.random.default_rng(0))
-        assert model.params["w_i"].shape == (5, 6)
-        np.testing.assert_array_equal(model.params["b_f"], np.ones(5))
-        np.testing.assert_array_equal(model.params["b_i"], np.zeros(5))
+        params = unpack(model.theta, 5)
+        assert params["w_i"].shape == (5, 6)
+        np.testing.assert_array_equal(params["b_f"], np.ones(5))
+        np.testing.assert_array_equal(params["b_i"], np.zeros(5))
         k = 1.0 / math.sqrt(5)
         for gate in ("w_i", "w_f", "w_g", "w_o"):
-            assert np.all(np.abs(model.params[gate]) <= k)
+            assert np.all(np.abs(params[gate]) <= k)
+
+    def test_initialize_draws_gates_in_order_i_f_g_o(self):
+        h, k = 3, 1.0 / math.sqrt(3)
+        params = unpack(LstmModel.initialize(h, np.random.default_rng(4)).theta, h)
+        ref = np.random.default_rng(4)
+        for gate in ("w_i", "w_f", "w_g", "w_o"):
+            np.testing.assert_array_equal(params[gate], ref.uniform(-k, k, size=(h, 1 + h)))
+        np.testing.assert_array_equal(params["w_out"], ref.uniform(-k, k, size=h))
+
+
+class TestParameterLayout:
+    def test_views_alias_theta_and_tile_it(self):
+        model = LstmModel(3)
+        views = unpack(model.theta, 3)
+        for n, view in enumerate(views.values(), start=1):
+            view[...] = n
+        # every entry of theta was written through exactly one view
+        counts = np.bincount(model.theta.astype(int), minlength=len(views) + 1)
+        assert counts.tolist() == [0] + [v.size for v in views.values()]
+
+    def test_block_order(self):
+        # H=2: each gate block is 2 rows of 1+H=3 entries, stacked (i, f, o, g)
+        views = unpack(np.arange(float(LstmModel(2).theta.size)), 2)
+        assert {key: view.flat[0] for key, view in views.items()} == {
+            "w_i": 0, "w_f": 6, "w_o": 12, "w_g": 18,
+            "b_i": 24, "b_f": 26, "b_o": 28, "b_g": 30,
+            "w_out": 32, "b_out": 34,
+        }
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(TrainingError, match="theta has shape"):
+            LstmModel(2, np.zeros(5))
 
 
 class TestScaler:
@@ -184,8 +221,7 @@ class TestTrain:
         a = train(seqs, None, cfg, hidden_size=6)
         b = train(seqs, None, cfg, hidden_size=6)
         assert a.train_loss_history == b.train_loss_history
-        for key in a.model.params:
-            np.testing.assert_array_equal(a.model.params[key], b.model.params[key])
+        np.testing.assert_array_equal(a.model.theta, b.model.theta)
 
     def test_loss_decreases_across_seeds(self, climate):
         (res,) = split(
@@ -266,11 +302,12 @@ class TestGradientCheck:
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
         batch = replace(seqs, starts=seqs.starts[:3])
 
-        def mutated(params, x, y):
-            loss, grads = loss_and_gradients(params, x, y)
-            grads["w_f"] = np.zeros_like(grads["w_f"])
-            grads["b_f"] = np.zeros_like(grads["b_f"])
-            return loss, grads
+        def mutated(model, x, y):
+            loss, grad = loss_and_gradients(model, x, y)
+            views = unpack(grad, model.hidden_size)
+            views["w_f"][...] = 0.0
+            views["b_f"][...] = 0.0
+            return loss, grad
 
         assert gradient_check(model, batch, epsilon=1e-5, grad_fn=mutated) > 1e-2
 
@@ -291,22 +328,6 @@ class TestGradientCheck:
 
 
 class TestCheckpoint:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        from leakbench.forecaster import load_checkpoint, save_checkpoint
-
-        series = make_series(np.sin(np.arange(40.0) / 3.0))
-        seqs = make_sequences(series.values, WindowConfig(4, 1))
-        outcome = train(seqs, None, TrainConfig(epochs=3, seed=2), hidden_size=6)
-        path = tmp_path / "model.json"
-        save_checkpoint(outcome, path)
-        restored = load_checkpoint(path)
-        np.testing.assert_array_equal(
-            predict(outcome.model, outcome.scaler, seqs),
-            predict(restored.model, restored.scaler, seqs),
-        )
-        assert restored.train_loss_history == outcome.train_loss_history
-        assert restored.optimal_epoch == outcome.optimal_epoch
-
     def test_loss_history_csv(self, tmp_path):
         from leakbench.forecaster import write_loss_history
 

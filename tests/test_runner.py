@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,42 @@ class TestRunExperiment:
         report = run_experiment(cfg, keep_going=True)
         assert report.errors
         assert {c.window for c in report.cells} == {5}
+
+    def test_keep_going_isolates_any_task_exception(self, climate_csv, monkeypatch):
+        import leakbench.runner as runner_mod
+
+        real_evaluate = runner_mod._evaluate_fold
+
+        def failing_for_w7(cfg, result, train_seed):
+            if result.test.config.window_size == 7:
+                raise ValueError("numpy trouble")
+            return real_evaluate(cfg, result, train_seed)
+
+        monkeypatch.setattr(runner_mod, "_evaluate_fold", failing_for_w7)
+        cfg = base_config(climate_csv, windows=(5, 7))
+        report = run_experiment(cfg, keep_going=True)
+        assert {c.window for c in report.cells} == {5}
+        assert len(report.errors) == 4  # 2 modes x 2 repetitions of W=7
+        assert all("W=7" in e and "ValueError: numpy trouble" in e for e in report.errors)
+        with pytest.raises(SplitError, match="W=7"):
+            run_experiment(cfg)
+
+    def test_null_seed_is_drawn_recorded_and_replayable(self, climate_csv, tmp_path):
+        cfg = base_config(
+            climate_csv, model="lstm", hidden_size=4,
+            train=TrainConfig(epochs=2, seed=None), base_seed=None,
+        )
+        first = run_experiment(cfg)
+        seed = first.provenance["config"]["base_seed"]
+        assert isinstance(seed, int) and first.provenance["base_seed_drawn"]
+        replay = run_experiment(replace(cfg, base_seed=seed))
+        assert not replay.provenance["base_seed_drawn"]
+        emit_report(first, tmp_path / "first")
+        emit_report(replay, tmp_path / "replay")
+        for name in ("cells.csv", "gains.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (
+                tmp_path / "replay" / name
+            ).read_bytes()
 
     def test_contamination_gate_fires(self, climate_csv, monkeypatch):
         import leakbench.runner as runner_mod

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbench.errors import SplitError
-from leakbench.splitting import (
-    SplitPlan,
-    SplitSpec,
-    describe_split,
-    split,
-)
+from leakbench.splitting import SplitPlan, SplitSpec, split
 from leakbench.windowing import WindowConfig
 
 from conftest import make_series
@@ -112,6 +107,7 @@ class TestLeakySplits:
         series = make_series(np.arange(50.0))
         results = split(series, spec(SplitPlan.k_fold(10), w=5, lag=1))
         assert len(results) == 10
+        assert [res.fold_index for res in results] == list(range(10))
         seen: list[int] = []
         for res in results:
             seen.extend(res.test.starts.tolist())
@@ -191,23 +187,6 @@ class TestCleanSplits:
         series = make_series(np.arange(40.0))
         with pytest.raises(SplitError, match="val.*raw length 4"):
             split(series, spec(SplitPlan.three_way(), mode="clean", w=4, lag=2))
-
-
-class TestDescribeSplit:
-    def test_mentions_sizes(self, climate):
-        (res,) = split(climate, spec(SplitPlan.two_way(), mode="clean", w=10, lag=1))
-        text = describe_split(res)
-        assert "train=1159" in text and "test=283" in text
-
-    def test_leaky_counts(self, climate):
-        (res,) = split(climate, spec(SplitPlan.two_way(), mode="leaky", w=10, lag=1))
-        text = describe_split(res)
-        assert "train=1161" in text and "test=291" in text
-
-    def test_includes_fold_index(self):
-        series = make_series(np.arange(50.0))
-        results = split(series, spec(SplitPlan.k_fold(5), w=4, lag=1))
-        assert "fold=3" in describe_split(results[3])
 
 
 @settings(max_examples=60, deadline=None)
