@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AuditError
+from .records import Record
 from .splitting import SplitResult
 from .windowing import SequenceSet
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Raw-index overlap between the training side (train + val) and test."""
 
     train_footprint_size: int
@@ -32,27 +33,6 @@ class AuditReport:
     overlap_sample: tuple[int, ...]
     is_contaminated: bool
     contaminated_test_pairs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "train_footprint_size": self.train_footprint_size,
-            "test_footprint_size": self.test_footprint_size,
-            "overlap_count": self.overlap_count,
-            "overlap_sample": list(self.overlap_sample),
-            "is_contaminated": self.is_contaminated,
-            "contaminated_test_pairs": self.contaminated_test_pairs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AuditReport":
-        return cls(
-            train_footprint_size=int(d["train_footprint_size"]),
-            test_footprint_size=int(d["test_footprint_size"]),
-            overlap_count=int(d["overlap_count"]),
-            overlap_sample=tuple(int(i) for i in d["overlap_sample"]),
-            is_contaminated=bool(d["is_contaminated"]),
-            contaminated_test_pairs=int(d["contaminated_test_pairs"]),
-        )
 
 
 def footprint_mask(seqs: SequenceSet, size: int) -> np.ndarray:

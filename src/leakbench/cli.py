@@ -7,6 +7,7 @@ clean cell.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .audit import audit
 from .errors import ContaminationError, LeakbenchError
 from .runner import (
     ExperimentConfig,
+    _csv_text,
     emit_plot_data,
     emit_report,
     gains_csv,
@@ -104,7 +106,7 @@ def _cmd_stats(args) -> int:
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json_file(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": args.seed})
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
     return cfg
 
 
@@ -129,19 +131,22 @@ def _cmd_audit(args) -> int:
     audits `run` stores in its report."""
     cfg = _load_config(args)
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
-    lines = ["window,lag,plan,mode,fold,train_pairs,test_pairs,overlap,contaminated_test_pairs"]
+    rows = []
     contaminated_clean = False
     for cell, specs in grid_splits(cfg):
         for res in split(series, specs[0]):
             rep = audit(res)
             if cell.mode == "clean" and rep.is_contaminated:
                 contaminated_clean = True
-            lines.append(
-                f"{cell.window},{cell.lag},{cell.plan.label},{cell.mode},{res.fold_index},"
-                f"{len(res.train)},{len(res.test)},"
-                f"{rep.overlap_count},{rep.contaminated_test_pairs}"
-            )
-    body = "\n".join(lines) + "\n"
+            rows.append((
+                cell.window, cell.lag, cell.plan.label, cell.mode, res.fold_index,
+                len(res.train), len(res.test),
+                rep.overlap_count, rep.contaminated_test_pairs,
+            ))
+    body = _csv_text(
+        "window,lag,plan,mode,fold,train_pairs,test_pairs,overlap,contaminated_test_pairs",
+        rows,
+    )
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from .errors import TrainingError
+from .records import Record
 from .windowing import SequenceSet
 
 SCALING_KINDS = ("none", "minmax", "zscore")
@@ -234,7 +235,7 @@ class _Adam:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     """Hyperparameters for one training run."""
 
     epochs: int
@@ -262,29 +263,6 @@ class TrainConfig:
                     f"patience ({self.patience}) must be < epochs ({self.epochs}) "
                     "when early stopping is on"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "early_stopping": self.early_stopping,
-            "patience": self.patience,
-            "seed": self.seed,
-            "scaling": self.scaling,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            epochs=int(d["epochs"]),
-            learning_rate=float(d.get("learning_rate", 0.001)),
-            batch_size=int(d.get("batch_size", 32)),
-            early_stopping=bool(d.get("early_stopping", False)),
-            patience=int(d.get("patience", 10)),
-            seed=d.get("seed"),
-            scaling=d.get("scaling", "zscore"),
-        )
 
 
 @dataclass(frozen=True, eq=False)

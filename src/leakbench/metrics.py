@@ -16,10 +16,11 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import LeakbenchError
+from .records import Record
 
 
 @dataclass(frozen=True)
-class RunStats:
+class RunStats(Record):
     """Aggregate RMSE statistics over repeated runs.
 
     std/stderr/ci95 need at least two runs and are None below that.
@@ -36,37 +37,9 @@ class RunStats:
     mean_optimal_epoch: Optional[float] = None
     mean_last_epoch: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "std": self.std,
-            "stderr": self.stderr,
-            "ci95": list(self.ci95) if self.ci95 is not None else None,
-            "mean_optimal_epoch": self.mean_optimal_epoch,
-            "mean_last_epoch": self.mean_last_epoch,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunStats":
-        ci = d.get("ci95")
-        return cls(
-            n_runs=int(d["n_runs"]),
-            min=float(d["min"]),
-            max=float(d["max"]),
-            mean=float(d["mean"]),
-            std=None if d.get("std") is None else float(d["std"]),
-            stderr=None if d.get("stderr") is None else float(d["stderr"]),
-            ci95=None if ci is None else (float(ci[0]), float(ci[1])),
-            mean_optimal_epoch=d.get("mean_optimal_epoch"),
-            mean_last_epoch=d.get("mean_last_epoch"),
-        )
-
 
 @dataclass(frozen=True)
-class GainRecord:
+class GainRecord(Record):
     """Clean-vs-leaky comparison for one (window, lag, plan) cell."""
 
     window: int
@@ -77,31 +50,6 @@ class GainRecord:
     gain_percent: float
     direction: str
     leakage_rank: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "lag": self.lag,
-            "plan": self.plan,
-            "rmse_clean": self.rmse_clean,
-            "rmse_leaky": self.rmse_leaky,
-            "gain_percent": self.gain_percent,
-            "direction": self.direction,
-            "leakage_rank": self.leakage_rank,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GainRecord":
-        return cls(
-            window=int(d["window"]),
-            lag=int(d["lag"]),
-            plan=d["plan"],
-            rmse_clean=float(d["rmse_clean"]),
-            rmse_leaky=float(d["rmse_leaky"]),
-            gain_percent=float(d["gain_percent"]),
-            direction=d["direction"],
-            leakage_rank=None if d.get("leakage_rank") is None else int(d["leakage_rank"]),
-        )
 
 
 def rmse(predictions: Sequence[float] | np.ndarray, targets: Sequence[float] | np.ndarray) -> float:

@@ -36,6 +36,7 @@ from .metrics import (
     plan_sort_key,
     rmse,
 )
+from .records import Record
 from .series import TimeSeries, load_csv
 from .splitting import SplitPlan, SplitSpec, SplitResult, split
 from .windowing import WindowConfig
@@ -50,7 +51,7 @@ _CONVENTIONS = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Everything one experiment grid needs, mirrored 1:1 by the JSON
     config file."""
 
@@ -83,46 +84,6 @@ class ExperimentConfig:
         object.__setattr__(self, "plans", tuple(self.plans))
         object.__setattr__(self, "modes", tuple(self.modes))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dataset": self.dataset,
-            "value_column": self.value_column,
-            "date_column": self.date_column,
-            "windows": list(self.windows),
-            "lags": list(self.lags),
-            "plans": [p.to_dict() for p in self.plans],
-            "modes": list(self.modes),
-            "order": self.order,
-            "model": self.model,
-            "hidden_size": self.hidden_size,
-            "train": self.train.to_dict(),
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                name=d["name"],
-                dataset=d["dataset"],
-                value_column=d.get("value_column", "meantemp"),
-                date_column=d.get("date_column", "date"),
-                windows=tuple(d["windows"]),
-                lags=tuple(d["lags"]),
-                plans=tuple(SplitPlan.from_dict(p) for p in d["plans"]),
-                modes=tuple(d["modes"]),
-                order=d.get("order", "sequential"),
-                model=d.get("model", "lstm"),
-                hidden_size=int(d.get("hidden_size", 64)),
-                train=TrainConfig.from_dict(d["train"]),
-                repetitions=int(d.get("repetitions", 10)),
-                base_seed=d.get("base_seed"),
-            )
-        except KeyError as exc:
-            raise LeakbenchError(f"config missing required key {exc}") from exc
-
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         p = Path(path)
@@ -150,7 +111,7 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     """Aggregated outcome of all repetitions of one cell."""
 
     window: int
@@ -162,34 +123,9 @@ class CellResult:
     max_overlap: int
     audits: tuple[AuditReport, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "lag": self.lag,
-            "plan": self.plan,
-            "mode": self.mode,
-            "stats": self.stats.to_dict(),
-            "run_rmses": list(self.run_rmses),
-            "max_overlap": self.max_overlap,
-            "audits": [a.to_dict() for a in self.audits],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CellResult":
-        return cls(
-            window=int(d["window"]),
-            lag=int(d["lag"]),
-            plan=d["plan"],
-            mode=d["mode"],
-            stats=RunStats.from_dict(d["stats"]),
-            run_rmses=tuple(float(x) for x in d["run_rmses"]),
-            max_overlap=int(d["max_overlap"]),
-            audits=tuple(AuditReport.from_dict(a) for a in d["audits"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class ExperimentReport:
+class ExperimentReport(Record):
     """All cell results, gain records, and provenance of one grid run."""
 
     name: str
@@ -197,25 +133,6 @@ class ExperimentReport:
     gains: tuple[GainRecord, ...]
     provenance: dict
     errors: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cells": [c.to_dict() for c in self.cells],
-            "gains": [g.to_dict() for g in self.gains],
-            "provenance": self.provenance,
-            "errors": list(self.errors),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            name=d["name"],
-            cells=tuple(CellResult.from_dict(c) for c in d["cells"]),
-            gains=tuple(GainRecord.from_dict(g) for g in d["gains"]),
-            provenance=d["provenance"],
-            errors=tuple(d.get("errors", ())),
-        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExperimentReport) and self.to_dict() == other.to_dict()
@@ -351,9 +268,6 @@ def run_experiment(
     cells = [cell for cell, _ in grid]
     tasks = [(cell, rep, spec) for cell, specs in grid for rep, spec in enumerate(specs)]
 
-    outcomes: dict[tuple, list[tuple[int, _RunOutcome]]] = {c.key: [] for c in cells}
-    errors: list[str] = []
-
     execute = partial(_execute_task, series, cfg)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -361,30 +275,31 @@ def run_experiment(
     else:
         completed = [execute(t) for t in tasks]
 
-    failed_cells: set[tuple] = set()
-    for cell, rep, outcome in completed:
-        if isinstance(outcome, ContaminationError):
-            raise outcome
-        if isinstance(outcome, Exception):
-            detail = outcome if isinstance(outcome, LeakbenchError) else (
-                f"{type(outcome).__name__}: {outcome}"
-            )
-            msg = (
-                f"cell W={cell.window} L={cell.lag} plan={cell.plan.label} "
-                f"mode={cell.mode} rep={rep}: {detail}"
-            )
-            if not keep_going:
-                raise SplitError(msg) from outcome
-            errors.append(msg)
-            failed_cells.add(cell.key)
-        else:
-            outcomes[cell.key].append((rep, outcome))
-
+    # Tasks come back in task order, so each cell's repetitions are
+    # consecutive and ordered by rep.
+    errors: list[str] = []
     cell_results = []
-    for cell in cells:
-        if cell.key in failed_cells:
+    reps = cfg.repetitions
+    for i, cell in enumerate(cells):
+        runs = []
+        for _, rep, outcome in completed[i * reps:(i + 1) * reps]:
+            if isinstance(outcome, ContaminationError):
+                raise outcome
+            if isinstance(outcome, Exception):
+                detail = outcome if isinstance(outcome, LeakbenchError) else (
+                    f"{type(outcome).__name__}: {outcome}"
+                )
+                msg = (
+                    f"cell W={cell.window} L={cell.lag} plan={cell.plan.label} "
+                    f"mode={cell.mode} rep={rep}: {detail}"
+                )
+                if not keep_going:
+                    raise SplitError(msg) from outcome
+                errors.append(msg)
+            else:
+                runs.append(outcome)
+        if len(runs) < reps:
             continue
-        runs = [o for _, o in sorted(outcomes[cell.key], key=lambda t: t[0])]
         rmses = [r.rmse for r in runs]
         optimal = [r.optimal_epoch for r in runs if r.optimal_epoch is not None]
         last = [r.last_epoch for r in runs if r.last_epoch is not None]
@@ -453,6 +368,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_text(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of values, each
+    ending in a newline."""
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
 CELL_CSV_HEADER = (
     "name,window,lag,plan,mode,n_runs,min,max,mean,std,stderr,ci_low,ci_high,"
     "mean_optimal_epoch,mean_last_epoch,max_overlap"
@@ -482,22 +403,17 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv")
     if fmt != "csv":
         raise LeakbenchError(f"unknown report format {fmt!r} (expected csv or json)")
 
-    lines = [CELL_CSV_HEADER]
+    rows = []
     for c in report.cells:
         s = c.stats
         ci_low, ci_high = (s.ci95 if s.ci95 is not None else (None, None))
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    report.name, c.window, c.lag, c.plan, c.mode, s.n_runs,
-                    s.min, s.max, s.mean, s.std, s.stderr, ci_low, ci_high,
-                    s.mean_optimal_epoch, s.mean_last_epoch, c.max_overlap,
-                )
-            )
-        )
+        rows.append((
+            report.name, c.window, c.lag, c.plan, c.mode, s.n_runs,
+            s.min, s.max, s.mean, s.std, s.stderr, ci_low, ci_high,
+            s.mean_optimal_epoch, s.mean_last_epoch, c.max_overlap,
+        ))
     cells_path = out / "cells.csv"
-    cells_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells_path.write_text(_csv_text(CELL_CSV_HEADER, rows), encoding="utf-8")
     written.append(cells_path)
 
     gains_path = out / "gains.csv"
@@ -508,18 +424,11 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv")
 
 def gains_csv(records: Sequence[GainRecord]) -> str:
     """The text of a `gains.csv` holding `records`."""
-    lines = [GAIN_CSV_HEADER]
-    for g in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    g.window, g.lag, g.plan, g.rmse_clean, g.rmse_leaky,
-                    g.gain_percent, g.direction, g.leakage_rank,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(GAIN_CSV_HEADER, (
+        (g.window, g.lag, g.plan, g.rmse_clean, g.rmse_leaky,
+         g.gain_percent, g.direction, g.leakage_rank)
+        for g in records
+    ))
 
 
 def load_report(path: str | Path) -> ExperimentReport:
@@ -537,25 +446,17 @@ def emit_plot_data(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     Row order is deterministic for identical reports."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs_lines = ["name,window,lag,plan,mode,run,rmse"]
-    for c in report.cells:
-        for run_idx, value in enumerate(c.run_rmses):
-            runs_lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (report.name, c.window, c.lag, c.plan, c.mode, run_idx, value)
-                )
-            )
     runs_path = out / "runs.csv"
-    runs_path.write_text("\n".join(runs_lines) + "\n", encoding="utf-8")
+    runs_path.write_text(_csv_text("name,window,lag,plan,mode,run,rmse", (
+        (report.name, c.window, c.lag, c.plan, c.mode, run_idx, value)
+        for c in report.cells
+        for run_idx, value in enumerate(c.run_rmses)
+    )), encoding="utf-8")
 
-    gain_lines = ["window,lag,plan,gain_percent"]
-    for g in report.gains:
-        gain_lines.append(
-            ",".join(_fmt(v) for v in (g.window, g.lag, g.plan, g.gain_percent))
-        )
     gains_path = out / "gains_long.csv"
-    gains_path.write_text("\n".join(gain_lines) + "\n", encoding="utf-8")
+    gains_path.write_text(_csv_text("window,lag,plan,gain_percent", (
+        (g.window, g.lag, g.plan, g.gain_percent) for g in report.gains
+    )), encoding="utf-8")
     return [runs_path, gains_path]
 
 

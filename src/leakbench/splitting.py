@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SplitError
+from .records import Record
 from .series import TimeSeries
 from .windowing import SequenceSet, WindowConfig, make_sequences
 
@@ -36,7 +37,7 @@ ORDER_RANDOM = "random"
 
 
 @dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """A validation technique: holdout fractions or a fold count.
 
     fractions: (train, test) for two_way, (train, val, test) for three_way,
@@ -76,22 +77,6 @@ class SplitPlan:
             return "3-way"
         return f"{self.k}-fold"
 
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == K_FOLD:
-            d["k"] = self.k
-        else:
-            d["fractions"] = list(self.fractions)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitPlan":
-        return cls(
-            kind=d["kind"],
-            fractions=tuple(d.get("fractions", ())),
-            k=int(d.get("k", 10)),
-        )
-
     @classmethod
     def two_way(cls, train: float | None = None) -> "SplitPlan":
         if train is None:
@@ -114,7 +99,7 @@ class SplitPlan:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Plan + timing mode + pair ordering + window geometry + seed."""
 
     plan: SplitPlan
@@ -133,25 +118,6 @@ class SplitSpec:
                 "clean mode requires sequential order: shuffling raw points "
                 "destroys the contiguity that post-split windowing needs"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": self.plan.to_dict(),
-            "mode": self.mode,
-            "window": self.window.to_dict(),
-            "order": self.order,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(
-            plan=SplitPlan.from_dict(d["plan"]),
-            mode=d["mode"],
-            window=WindowConfig.from_dict(d["window"]),
-            order=d.get("order", ORDER_SEQUENTIAL),
-            seed=d.get("seed"),
-        )
 
 
 @dataclass(frozen=True, eq=False)

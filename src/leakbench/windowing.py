@@ -16,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WindowError
+from .records import Record
 
 
 @dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Record):
     """Window size W (observations per input) and lag step L (horizon)."""
 
     window_size: int
@@ -30,13 +31,6 @@ class WindowConfig:
             raise WindowError(f"window_size must be >= 1, got {self.window_size}")
         if self.lag_step < 1:
             raise WindowError(f"lag_step must be >= 1, got {self.lag_step}")
-
-    def to_dict(self) -> dict:
-        return {"window_size": self.window_size, "lag_step": self.lag_step}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WindowConfig":
-        return cls(window_size=int(d["window_size"]), lag_step=int(d["lag_step"]))
 
 
 @dataclass(frozen=True, eq=False)
