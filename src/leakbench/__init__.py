@@ -30,6 +30,7 @@ from .forecaster import (
     gradient_check,
     predict,
     train,
+    train_many,
     unpack,
     write_loss_history,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "seasonal_decompose",
     "split",
     "train",
+    "train_many",
     "unpack",
     "write_csv",
     "write_loss_history",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -103,115 +103,126 @@ class LstmModel:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Predict a scalar per row of a (batch, W) input matrix."""
-        y, _ = _forward_cached(self, np.atleast_2d(np.asarray(inputs, float)))
+        x = np.atleast_2d(np.asarray(inputs, float))
+        y, _ = _forward_cached(self.theta[None], x[None], self.hidden_size)
         if not np.all(np.isfinite(y)):
             raise TrainingError("non-finite value in forward pass")
-        return y
+        return y[0]
 
 
 def _blocks(vec: np.ndarray, hidden_size: int):
     """(gate matrix, gate bias, head weights, head bias) views of a vector in
-    the parameter layout. The gate rows are stacked (i, f, o, g) so the hot
-    loop does one matmul per step, one sigmoid over the first three blocks
-    and one tanh over the last."""
+    the parameter layout, or of each row of a stack of such vectors (any
+    leading axes). The gate rows are stacked (i, f, o, g) so the hot loop
+    does one matmul per step, one sigmoid over the first three blocks and
+    one tanh over the last."""
     h = hidden_size
     nw = 4 * h * (1 + h)
     return (
-        vec[:nw].reshape(4 * h, 1 + h),
-        vec[nw : nw + 4 * h],
-        vec[nw + 4 * h : nw + 5 * h],
-        vec[nw + 5 * h :],
+        vec[..., :nw].reshape(*vec.shape[:-1], 4 * h, 1 + h),
+        vec[..., nw : nw + 4 * h],
+        vec[..., nw + 4 * h : nw + 5 * h],
+        vec[..., nw + 5 * h :],
     )
 
 
 def unpack(vec: np.ndarray, hidden_size: int) -> dict[str, np.ndarray]:
     """Named views (w_i, w_f, w_o, w_g, b_i, b_f, b_o, b_g, w_out, b_out) into
-    a parameter or gradient vector; writing to a view writes to `vec`."""
+    a parameter or gradient vector, or into each row of a stack of them;
+    writing to a view writes to `vec`."""
     h = hidden_size
     w, b, w_out, b_out = _blocks(vec, h)
     views = {}
     for k, gate in enumerate("ifog"):
-        views[f"w_{gate}"] = w[k * h : (k + 1) * h]
-        views[f"b_{gate}"] = b[k * h : (k + 1) * h]
+        views[f"w_{gate}"] = w[..., k * h : (k + 1) * h, :]
+        views[f"b_{gate}"] = b[..., k * h : (k + 1) * h]
     views["w_out"] = w_out
     views["b_out"] = b_out
     return views
 
 
-def _forward_cached(model: LstmModel, x: np.ndarray):
-    """Batched forward pass keeping per-step activations for BPTT."""
-    batch, steps = x.shape
-    h_size = model.hidden_size
-    w, b, w_out, b_out = _blocks(model.theta, h_size)
-    w_t = w.T
-    h = np.zeros((batch, h_size))
-    c = np.zeros((batch, h_size))
+def _forward_cached(theta: np.ndarray, x: np.ndarray, hidden_size: int):
+    """Forward pass of M models at once, keeping per-step activations for
+    BPTT: `theta` (M, P) and `x` (M, B, W) give predictions (M, B). Every
+    product is a stacked matmul, which makes the same GEMM call per model
+    as a 2-D `@` on that model alone, so a model's numbers do not depend on
+    which others share the call."""
+    models, batch, steps = x.shape
+    h_size = hidden_size
+    w, b, w_out, b_out = _blocks(theta, h_size)
+    w_t = w.transpose(0, 2, 1)
+    b = b[:, None, :]
+    h = np.zeros((models, batch, h_size))
+    c = np.zeros((models, batch, h_size))
     caches = []
     for t in range(steps):
-        z = np.concatenate([x[:, t : t + 1], h], axis=1)
+        z = np.concatenate([x[:, :, t : t + 1], h], axis=2)
         pre = z @ w_t + b
         act = np.empty_like(pre)
-        act[:, : 3 * h_size] = sigmoid(pre[:, : 3 * h_size])
-        act[:, 3 * h_size :] = np.tanh(pre[:, 3 * h_size :])
-        i = act[:, :h_size]
-        f = act[:, h_size : 2 * h_size]
-        o = act[:, 2 * h_size : 3 * h_size]
-        g = act[:, 3 * h_size :]
+        act[..., : 3 * h_size] = sigmoid(pre[..., : 3 * h_size])
+        act[..., 3 * h_size :] = np.tanh(pre[..., 3 * h_size :])
+        i = act[..., :h_size]
+        f = act[..., h_size : 2 * h_size]
+        o = act[..., 2 * h_size : 3 * h_size]
+        g = act[..., 3 * h_size :]
         c_prev = c
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
         caches.append((z, act, c_prev, tc))
-    y = h @ w_out + b_out[0]
+    y = (h @ w_out[:, :, None])[..., 0] + b_out
     return y, (caches, h)
 
 
 def loss_and_gradients(
-    model: LstmModel, x: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Batch-mean MSE and its analytic gradient, one vector in the layout
-    of `model.theta`."""
-    batch = x.shape[0]
-    h_size = model.hidden_size
-    y, (caches, h_last) = _forward_cached(model, x)
+    theta: np.ndarray, x: np.ndarray, targets: np.ndarray, hidden_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-mean MSE of each of M models and its analytic gradient:
+    `theta` (M, P), `x` (M, B, W) and `targets` (M, B) give losses (M,) and
+    gradients (M, P), each row in the parameter layout."""
+    models, batch, _ = x.shape
+    h_size = hidden_size
+    y, (caches, h_last) = _forward_cached(theta, x, h_size)
     resid = y - targets
-    loss = float(np.mean(resid**2))
+    loss = np.mean(resid**2, axis=1)
 
-    w, _, w_out, _ = _blocks(model.theta, h_size)
-    grad = np.zeros_like(model.theta)
+    w, _, w_out, _ = _blocks(theta, h_size)
+    grad = np.zeros_like(theta)
     dw, db, dw_out, db_out = _blocks(grad, h_size)
     dy = 2.0 * resid / batch
-    dw_out[:] = h_last.T @ dy
-    db_out[0] = dy.sum()
-    dh = np.outer(dy, w_out)
+    dw_out[:] = (h_last.transpose(0, 2, 1) @ dy[:, :, None])[..., 0]
+    db_out[:, 0] = dy.sum(axis=1)
+    dh = dy[:, :, None] * w_out[:, None, :]
     dc = np.zeros_like(dh)
-    da = np.empty((batch, 4 * h_size))
+    da = np.empty((models, batch, 4 * h_size))
     for t in range(len(caches) - 1, -1, -1):
         z, act, c_prev, tc = caches[t]
-        i = act[:, :h_size]
-        f = act[:, h_size : 2 * h_size]
-        o = act[:, 2 * h_size : 3 * h_size]
-        g = act[:, 3 * h_size :]
+        i = act[..., :h_size]
+        f = act[..., h_size : 2 * h_size]
+        o = act[..., 2 * h_size : 3 * h_size]
+        g = act[..., 3 * h_size :]
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc**2)
-        da[:, :h_size] = (dc * g) * i * (1.0 - i)
-        da[:, h_size : 2 * h_size] = (dc * c_prev) * f * (1.0 - f)
-        da[:, 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
-        da[:, 3 * h_size :] = (dc * i) * (1.0 - g**2)
-        dw += da.T @ z
-        db += da.sum(axis=0)
+        da[..., :h_size] = (dc * g) * i * (1.0 - i)
+        da[..., h_size : 2 * h_size] = (dc * c_prev) * f * (1.0 - f)
+        da[..., 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
+        da[..., 3 * h_size :] = (dc * i) * (1.0 - g**2)
+        dw += da.transpose(0, 2, 1) @ z
+        db += da.sum(axis=1)
         dz = da @ w
-        dh = dz[:, 1:]
+        dh = dz[..., 1:]
         dc = dc * f
     return loss, grad
 
 
 class _Adam:
-    """Adam with the usual bias-corrected first/second moments."""
+    """Adam with the usual bias-corrected first/second moments, for a stack
+    of M models that may step at different times: each row of the (M, P)
+    moments belongs to one model, and each model counts its own steps."""
 
     def __init__(
         self,
-        size: int,
+        shape: tuple[int, int],
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -221,17 +232,24 @@ class _Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.t = np.zeros(shape[0], dtype=np.int64)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+    def step(self, theta: np.ndarray, grad: np.ndarray, rows) -> None:
+        """Update the models `rows` (an index into the first axis) of the
+        (M, P) stack `theta` in place with their gradients `grad`."""
+        self.t[rows] += 1
+        # Python floats, not np.power: the two differ in the last bit for
+        # some t, and a model's numbers must not depend on the stacking.
+        steps = self.t[rows].tolist()
+        c1 = np.array([1.0 - self.beta1**t for t in steps])[:, None]
+        c2 = np.array([1.0 - self.beta2**t for t in steps])[:, None]
+        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grad
+        v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * grad**2
+        self.m[rows] = m
+        self.v[rows] = v
+        theta[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -283,6 +301,9 @@ class TrainOutcome:
     last_epoch: int
 
 
+Job = tuple[SequenceSet, Optional[SequenceSet], Optional[int]]
+
+
 def train(
     train_set: SequenceSet,
     val_set: Optional[SequenceSet],
@@ -295,87 +316,177 @@ def train(
     partitions. With early stopping on, the monitor is the validation MSE
     when `val_set` is given and the epoch training MSE otherwise; training
     halts after `patience` epochs without improvement and the best-epoch
-    weights are restored. Fully deterministic for a fixed seed.
+    weights are restored. Fully deterministic for a fixed seed (`cfg.seed`).
+    This is `train_many` with one job.
     """
-    if len(train_set) == 0:
-        raise TrainingError("empty training set")
-    if cfg.early_stopping and val_set is not None and len(val_set) == 0:
-        raise TrainingError("early stopping requires a non-empty monitor set")
+    return train_many([(train_set, val_set, cfg.seed)], cfg, hidden_size)[0]
 
-    scaler = Scaler.fit(cfg.scaling, train_set)
-    x_train = scaler.transform(train_set.inputs())
-    y_train = scaler.transform(train_set.targets())
-    x_val = y_val = None
-    if val_set is not None:
-        x_val = scaler.transform(val_set.inputs())
-        y_val = scaler.transform(val_set.targets())
 
-    rng = np.random.default_rng(cfg.seed)
-    model = LstmModel.initialize(hidden_size, rng)
-    adam = _Adam(model.theta.size, cfg.learning_rate)
+class _Job:
+    """What one model of `train_many` keeps for itself: its scaled data, its
+    RNG, its loss histories and its early-stopping state."""
 
-    n = x_train.shape[0]
-    train_hist: list[float] = []
-    val_hist: list[float] = []
-    monitor_hist: list[float] = []
-    best_monitor = np.inf
-    best_epoch = 0
-    best_theta: np.ndarray | None = None
-    wait = 0
-    last_epoch = 0
+    def __init__(
+        self,
+        index: int,
+        train_set: SequenceSet,
+        val_set: Optional[SequenceSet],
+        seed: Optional[int],
+        cfg: TrainConfig,
+        hidden_size: int,
+    ):
+        if len(train_set) == 0:
+            raise TrainingError("empty training set")
+        if cfg.early_stopping and val_set is not None and len(val_set) == 0:
+            raise TrainingError("early stopping requires a non-empty monitor set")
+        self.index = index
+        self.scaler = Scaler.fit(cfg.scaling, train_set)
+        self.x = self.scaler.transform(train_set.inputs())
+        self.y = self.scaler.transform(train_set.targets())
+        self.n = self.x.shape[0]
+        self.x_val = self.y_val = None
+        if val_set is not None:
+            self.x_val = self.scaler.transform(val_set.inputs())
+            self.y_val = self.scaler.transform(val_set.targets())
+        self.rng = np.random.default_rng(seed)
+        self.initial_theta = LstmModel.initialize(hidden_size, self.rng).theta
+        self.train_hist: list[float] = []
+        self.val_hist: list[float] = []
+        self.best_monitor = np.inf
+        self.best_epoch = 0
+        self.best_theta: np.ndarray | None = None
+        self.wait = 0
+        self.last_epoch = 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_gradients(model, x_train[idx], y_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged at epoch {epoch} (loss={loss})")
-            adam.step(model.theta, grad)
-            sq_sum += loss * idx.shape[0]
-        epoch_train_mse = sq_sum / n
-        train_hist.append(epoch_train_mse)
-
-        if x_val is not None:
-            preds, _ = _forward_cached(model, x_val)
-            val_mse = float(np.mean((preds - y_val) ** 2))
-            if not np.isfinite(val_mse):
-                raise TrainingError(f"validation loss diverged at epoch {epoch}")
-            val_hist.append(val_mse)
-            monitor = val_mse
-        else:
-            monitor = epoch_train_mse
-        monitor_hist.append(monitor)
-        last_epoch = epoch
-
-        if monitor < best_monitor:
-            best_monitor = monitor
-            best_epoch = epoch
-            wait = 0
+    def end_epoch(self, epoch: int, monitor: float, theta: np.ndarray, cfg: TrainConfig) -> bool:
+        """Record the epoch's monitored loss; True when early stopping halts
+        this model."""
+        self.last_epoch = epoch
+        if monitor < self.best_monitor:
+            self.best_monitor = monitor
+            self.best_epoch = epoch
+            self.wait = 0
             if cfg.early_stopping:
-                best_theta = model.theta.copy()
-        else:
-            wait += 1
-            if cfg.early_stopping and wait >= cfg.patience:
-                break
+                self.best_theta = theta.copy()
+            return False
+        self.wait += 1
+        return cfg.early_stopping and self.wait >= cfg.patience
 
-    if cfg.early_stopping and best_theta is not None:
-        model = LstmModel(hidden_size, best_theta)
+    def outcome(self, theta: np.ndarray, cfg: TrainConfig, hidden_size: int) -> TrainOutcome:
+        restore = cfg.early_stopping and self.best_theta is not None
+        monitored = self.x_val is not None or cfg.early_stopping
+        return TrainOutcome(
+            model=LstmModel(hidden_size, self.best_theta if restore else theta.copy()),
+            scaler=self.scaler,
+            train_loss_history=tuple(self.train_hist),
+            val_loss_history=tuple(self.val_hist) if self.x_val is not None else None,
+            optimal_epoch=self.best_epoch if monitored else self.last_epoch,
+            last_epoch=self.last_epoch,
+        )
 
-    if val_set is not None or cfg.early_stopping:
-        optimal_epoch = best_epoch
-    else:
-        optimal_epoch = last_epoch
 
-    return TrainOutcome(
-        model=model,
-        scaler=scaler,
-        train_loss_history=tuple(train_hist),
-        val_loss_history=tuple(val_hist) if x_val is not None else None,
-        optimal_epoch=optimal_epoch,
-        last_epoch=last_epoch,
-    )
+def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
+    """Rows grouped by size: (row indices, size) per distinct size."""
+    by_size: dict[int, list[int]] = {}
+    for row, size in sizes.items():
+        by_size.setdefault(size, []).append(row)
+    return [(np.array(rows), size) for size, rows in by_size.items()]
+
+
+def train_many(
+    jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int = 64
+) -> list[TrainOutcome]:
+    """Train one model per job (train_set, val_set, seed) in lockstep, as one
+    stacked batch with a leading model axis, and return the outcomes in job
+    order. `cfg.seed` is not used; each job brings its own.
+
+    Each model gets bit for bit what `train` on its job alone gives: its
+    own scaler, RNG (the init draw, then one permutation per epoch), loss
+    histories and early stopping. At each step the running models are
+    grouped by batch size (training sets of different sizes end an epoch
+    with ragged batches) and each group is one stacked call; zero-padding
+    them instead would change the order of the sums. A model that stops
+    early or diverges leaves the stack. If any job failed, the
+    TrainingError of the lowest-index failed job is raised after the others
+    finish: the error that training the jobs one by one, in order, raises.
+    """
+    failed: dict[int, TrainingError] = {}
+    live: list[_Job] = []
+    for index, (train_set, val_set, seed) in enumerate(jobs):
+        try:
+            live.append(_Job(index, train_set, val_set, seed, cfg, hidden_size))
+        except TrainingError as exc:
+            failed[index] = exc
+    if len({job.x.shape[1] for job in live}) > 1:
+        raise TrainingError("train_many jobs must share one window size")
+
+    count = len(live)
+    theta = np.array([job.initial_theta for job in live])
+    adam = _Adam(theta.shape, cfg.learning_rate)
+    running = list(range(count))
+    for epoch in range(1, cfg.epochs + 1):
+        if not running:
+            break
+        # This epoch's shuffled pairs of every running model, one row each.
+        longest = max(live[r].n for r in running)
+        xs = np.empty((count, longest, live[running[0]].x.shape[1]))
+        ys = np.empty((count, longest))
+        for r in running:
+            job = live[r]
+            order = job.rng.permutation(job.n)
+            xs[r, : job.n] = job.x[order]
+            ys[r, : job.n] = job.y[order]
+        sq_sums = [0.0] * count
+        for start in range(0, longest, cfg.batch_size):
+            sizes = {
+                r: min(cfg.batch_size, live[r].n - start) for r in running if live[r].n > start
+            }
+            for rows, size in _groups(sizes):
+                stop = start + size
+                sel = slice(None) if rows.size == count else rows
+                loss, grad = loss_and_gradients(
+                    theta[sel], xs[sel, start:stop], ys[sel, start:stop], hidden_size
+                )
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    for r, value in zip(rows[~finite].tolist(), loss[~finite].tolist()):
+                        failed[live[r].index] = TrainingError(
+                            f"training diverged at epoch {epoch} (loss={value})"
+                        )
+                        running.remove(r)
+                    rows, grad, loss = rows[finite], grad[finite], loss[finite]
+                    sel = rows
+                adam.step(theta, grad, sel)
+                for r, value in zip(rows.tolist(), loss.tolist()):
+                    sq_sums[r] += value * size
+
+        monitors = {}
+        for r in running:
+            live[r].train_hist.append(sq_sums[r] / live[r].n)
+            monitors[r] = live[r].train_hist[-1]
+        val_sizes = {r: live[r].x_val.shape[0] for r in running if live[r].x_val is not None}
+        for rows, _ in _groups(val_sizes):
+            preds, _ = _forward_cached(
+                theta[rows], np.stack([live[r].x_val for r in rows]), hidden_size
+            )
+            val_mses = np.mean((preds - np.stack([live[r].y_val for r in rows])) ** 2, axis=1)
+            for r, val_mse in zip(rows.tolist(), val_mses.tolist()):
+                if not np.isfinite(val_mse):
+                    failed[live[r].index] = TrainingError(
+                        f"validation loss diverged at epoch {epoch}"
+                    )
+                    running.remove(r)
+                    del monitors[r]
+                    continue
+                live[r].val_hist.append(val_mse)
+                monitors[r] = val_mse
+        for r, monitor in monitors.items():
+            if live[r].end_epoch(epoch, monitor, theta[r], cfg):
+                running.remove(r)
+
+    if failed:
+        raise failed[min(failed)]
+    return [job.outcome(theta[r], cfg, hidden_size) for r, job in enumerate(live)]
 
 
 def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:
@@ -398,7 +509,7 @@ def write_loss_history(outcome: TrainOutcome, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-GradFn = Callable[[LstmModel, np.ndarray, np.ndarray], tuple[float, np.ndarray]]
+GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 def gradient_check(
@@ -412,8 +523,9 @@ def gradient_check(
     Checks every parameter of the batch-MSE gradient; the relative error
     denominator is max(|analytic|, |numeric|, 1e-8). Restricted to small
     models (H <= 8, W <= 6) to keep the finite differences well
-    conditioned. `grad_fn` substitutes the analytic gradient, which lets
-    tests verify that a broken gradient is detected.
+    conditioned. `grad_fn` substitutes the analytic gradient (same
+    signature and stacked shapes as `loss_and_gradients`; called with one
+    model), which lets tests verify that a broken gradient is detected.
     """
     if model.hidden_size > 8:
         raise TrainingError("gradient_check requires hidden_size <= 8")
@@ -421,22 +533,23 @@ def gradient_check(
         raise TrainingError("gradient_check requires window_size <= 6")
     if len(batch) == 0:
         raise TrainingError("gradient_check requires a non-empty batch")
-    x = batch.inputs()
-    y = batch.targets()
+    x = batch.inputs()[None]
+    y = batch.targets()[None]
+    h = model.hidden_size
     fn = grad_fn if grad_fn is not None else loss_and_gradients
-    _, grad = fn(model, x, y)
+    _, grad = fn(model.theta[None], x, y, h)
 
     theta = model.theta
     max_rel = 0.0
     for idx in range(theta.size):
         orig = theta[idx]
         theta[idx] = orig + epsilon
-        up, _ = _forward_cached(model, x)
+        up, _ = _forward_cached(theta[None], x, h)
         theta[idx] = orig - epsilon
-        down, _ = _forward_cached(model, x)
+        down, _ = _forward_cached(theta[None], x, h)
         theta[idx] = orig
         numeric = (np.mean((up - y) ** 2) - np.mean((down - y) ** 2)) / (2 * epsilon)
-        analytic = grad[idx]
+        analytic = grad[0, idx]
         denom = max(abs(analytic), abs(numeric), 1e-8)
         max_rel = max(max_rel, abs(analytic - numeric) / denom)
     return max_rel

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .errors import LeakbenchError
 from .records import Record
@@ -80,7 +80,9 @@ def aggregate(
     if n >= 2:
         std = float(vals.std(ddof=1))
         stderr = std / math.sqrt(n)
-        half = float(sps.t.ppf(0.975, n - 1)) * stderr
+        # the Student-t quantile scipy.stats.t.ppf computes, without
+        # importing scipy.stats
+        half = float(stdtrit(n - 1, 0.975)) * stderr
         ci = (mean - half, mean + half)
     return RunStats(
         n_runs=n,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import secrets
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,7 +27,13 @@ import numpy as np
 from . import __version__
 from .audit import AuditReport, audit
 from .errors import ContaminationError, LeakbenchError, SplitError
-from .forecaster import TrainConfig, baseline_linear_ar, baseline_persistence, predict, train
+from .forecaster import (
+    TrainConfig,
+    baseline_linear_ar,
+    baseline_persistence,
+    predict,
+    train_many,
+)
 from .metrics import (
     GainRecord,
     RunStats,
@@ -79,8 +86,12 @@ class ExperimentConfig(Record):
                 raise LeakbenchError(f"grid list '{label}' must be non-empty")
         if self.model not in MODELS:
             raise LeakbenchError(f"unknown model {self.model!r} (expected one of {MODELS})")
-        object.__setattr__(self, "windows", tuple(int(w) for w in self.windows))
-        object.__setattr__(self, "lags", tuple(int(l) for l in self.lags))
+        for label in ("windows", "lags"):
+            values = getattr(self, label)
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise LeakbenchError(f"grid list '{label}' takes integers, got {v!r}")
+            object.__setattr__(self, label, tuple(int(v) for v in values))
         object.__setattr__(self, "plans", tuple(self.plans))
         object.__setattr__(self, "modes", tuple(self.modes))
 
@@ -184,30 +195,37 @@ class _RunOutcome:
     audits: tuple[AuditReport, ...]
 
 
-def _evaluate_fold(
-    cfg: ExperimentConfig, result: SplitResult, train_seed: int | None
-) -> tuple[float, float | None, float | None]:
-    """Train/evaluate one fold, returning (test RMSE, optimal, last epoch)."""
-    targets = result.test.targets()
+def _evaluate_folds(
+    cfg: ExperimentConfig, results: list[SplitResult], train_seeds: list[int | None]
+) -> list[tuple[float, float | None, float | None]]:
+    """Fit and score every fold: (test RMSE, optimal epoch, last epoch) per
+    fold. The LSTMs of all folds train together in one `train_many` call."""
     if cfg.model == "persistence":
-        preds = baseline_persistence(result.test)
-        return rmse(preds, targets), None, None
+        return [
+            (rmse(baseline_persistence(res.test), res.test.targets()), None, None)
+            for res in results
+        ]
     if cfg.model == "linear_ar":
-        preds = baseline_linear_ar(result.train, result.test)
-        return rmse(preds, targets), None, None
-    train_cfg = replace(cfg.train, seed=train_seed)
-    outcome = train(result.train, result.val, train_cfg, hidden_size=cfg.hidden_size)
-    preds = predict(outcome.model, outcome.scaler, result.test)
-    return rmse(preds, targets), float(outcome.optimal_epoch), float(outcome.last_epoch)
+        return [
+            (rmse(baseline_linear_ar(res.train, res.test), res.test.targets()), None, None)
+            for res in results
+        ]
+    jobs = [(res.train, res.val, seed) for res, seed in zip(results, train_seeds)]
+    outcomes = train_many(jobs, cfg.train, hidden_size=cfg.hidden_size)
+    return [
+        (
+            rmse(predict(out.model, out.scaler, res.test), res.test.targets()),
+            float(out.optimal_epoch),
+            float(out.last_epoch),
+        )
+        for res, out in zip(results, outcomes)
+    ]
 
 
 def _run_once(
     series: TimeSeries, cfg: ExperimentConfig, cell: Cell, rep: int, spec: SplitSpec
 ) -> _RunOutcome:
     results = split(series, spec)
-    fold_rmses = []
-    optimal_epochs = []
-    last_epochs = []
     audits = []
     for res in results:
         report = audit(res)
@@ -218,12 +236,13 @@ def _run_once(
                 f"plan={cell.plan.label} fold={res.fold_index} "
                 f"overlap={report.overlap_count}"
             )
-        train_seed = derive_seed(cfg.base_seed, *cell.key, rep, res.fold_index, "train")
-        fold_rmse, opt, last = _evaluate_fold(cfg, res, train_seed)
-        fold_rmses.append(fold_rmse)
-        if opt is not None:
-            optimal_epochs.append(opt)
-            last_epochs.append(last)
+    train_seeds = [
+        derive_seed(cfg.base_seed, *cell.key, rep, res.fold_index, "train") for res in results
+    ]
+    folds = _evaluate_folds(cfg, results, train_seeds)
+    fold_rmses = [fold_rmse for fold_rmse, _, _ in folds]
+    optimal_epochs = [opt for _, opt, _ in folds if opt is not None]
+    last_epochs = [last for _, _, last in folds if last is not None]
     return _RunOutcome(
         rmse=float(np.mean(fold_rmses)),
         optimal_epoch=float(np.mean(optimal_epochs)) if optimal_epochs else None,
@@ -254,10 +273,10 @@ def run_experiment(
 
     Each repetition of each cell is one run: split, audit every fold (a
     contaminated clean fold aborts the whole experiment regardless of
-    keep_going), train, predict on test, RMSE. A cell's run RMSE under
-    k-fold is the mean of its per-fold test RMSEs. Cell failures abort
-    unless keep_going, in which case they are recorded in report.errors.
-    A null base_seed is replaced by one drawn seed, which the provenance
+    keep_going), train all folds together, predict on test, RMSE. A cell's
+    run RMSE under k-fold is the mean of its per-fold test RMSEs. Cell
+    failures abort unless keep_going, in which case they are recorded in
+    report.errors. A null base_seed is replaced by one drawn seed, which the provenance
     config records (with base_seed_drawn true).
     """
     seed_drawn = cfg.base_seed is None

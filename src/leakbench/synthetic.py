@@ -15,7 +15,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, stats
 
 from .series import TimeSeries, write_csv
 
@@ -58,6 +57,8 @@ def _pin_profile(shape: np.ndarray) -> np.ndarray:
     monotone, so the temporal structure (seasonality, autocorrelation) is
     preserved.
     """
+    from scipy import optimize, stats  # slow to import; only the data build needs them
+
     u = (shape - shape.min()) / (shape.max() - shape.min())
     span = REFERENCE_MAX - REFERENCE_MIN
 

@@ -153,9 +153,9 @@ def test_criterion_3_gradient_correctness():
         worst = max(worst, err)
         assert err < 1e-4
 
-    def zeroed_forget(model, x, y):
-        loss, grad = loss_and_gradients(model, x, y)
-        views = unpack(grad, model.hidden_size)
+    def zeroed_forget(theta, x, y, hidden_size):
+        loss, grad = loss_and_gradients(theta, x, y, hidden_size)
+        views = unpack(grad, hidden_size)
         views["w_f"][...] = 0.0
         views["b_f"][...] = 0.0
         return loss, grad

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from leakbench.errors import TrainingError
 from leakbench.forecaster import (
     LstmModel,
+    _Adam,
     Scaler,
     TrainConfig,
     baseline_linear_ar,
@@ -19,6 +20,7 @@ from leakbench.forecaster import (
     loss_and_gradients,
     predict,
     train,
+    train_many,
     unpack,
 )
 from leakbench.splitting import SplitPlan, SplitSpec, split
@@ -132,6 +134,14 @@ class TestParameterLayout:
             "b_i": 24, "b_f": 26, "b_o": 28, "b_g": 30,
             "w_out": 32, "b_out": 34,
         }
+
+    def test_views_of_a_stack_alias_each_row(self):
+        stack = np.zeros((3, LstmModel(2).theta.size))
+        views = unpack(stack, 2)
+        assert views["w_i"].shape == (3, 2, 3) and views["b_out"].shape == (3, 1)
+        views["w_f"][1] = 1.0
+        np.testing.assert_array_equal(unpack(stack[1], 2)["w_f"], np.ones((2, 3)))
+        assert not stack[0].any() and not stack[2].any()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(TrainingError, match="theta has shape"):
@@ -269,6 +279,131 @@ class TestTrain:
         assert restored_val_mse == pytest.approx(outcome.val_loss_history[0], abs=1e-12)
 
 
+def lone_adam(theta, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on one parameter vector, written out with Python-float bias
+    corrections, independent of the stacked optimizer under test."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, grad in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad**2
+        theta = theta - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return theta
+
+
+class TestAdam:
+    def test_each_row_steps_like_a_lone_adam(self):
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(3, 7))
+        start = theta.copy()
+        # lr 1 keeps the updates as large as theta, so a last-bit change in
+        # a bias correction reaches theta instead of rounding away.
+        adam = _Adam(theta.shape, lr=1.0)
+        taken = [[], [], []]
+        # Row 0 steps every round, row 1 every other round and row 2 only
+        # in the first 10, so their step counts drift apart; by t = 7 and
+        # t = 12 np.power and Python's ** already differ in the last bit.
+        for k in range(40):
+            rows = [r for r, on in enumerate((True, k % 2 == 0, k < 10)) if on]
+            grad = rng.normal(size=(len(rows), 7))
+            adam.step(theta, grad, np.array(rows))
+            for r, g in zip(rows, grad):
+                taken[r].append(g)
+        for r in range(3):
+            assert np.array_equal(theta[r], lone_adam(start[r], taken[r], lr=1.0))
+
+
+def assert_same_fit(many, alone):
+    """One job of train_many gave exactly what train() gives on it alone."""
+    assert np.array_equal(many.model.theta, alone.model.theta)
+    assert np.array_equal(many.train_loss_history, alone.train_loss_history)
+    assert (many.val_loss_history is None) == (alone.val_loss_history is None)
+    if alone.val_loss_history is not None:
+        assert np.array_equal(many.val_loss_history, alone.val_loss_history)
+    assert many.optimal_epoch == alone.optimal_epoch
+    assert many.last_epoch == alone.last_epoch
+    assert many.scaler == alone.scaler
+
+
+def train_each_both_ways(jobs, cfg, hidden_size):
+    """Train the jobs in lockstep and one by one; assert bit identity."""
+    many = train_many(jobs, cfg, hidden_size)
+    assert len(many) == len(jobs)
+    for out, (train_set, val_set, seed) in zip(many, jobs):
+        alone = train(train_set, val_set, replace(cfg, seed=seed), hidden_size)
+        assert_same_fit(out, alone)
+    return many
+
+
+class TestTrainMany:
+    def test_clean_k_fold_with_ragged_train_sizes(self, climate):
+        results = split(
+            climate,
+            SplitSpec(plan=SplitPlan.k_fold(10), mode="clean", window=WindowConfig(10, 3)),
+        )
+        sizes = [len(r.train) for r in results]
+        # Sizes differ, so the folds' last batches of an epoch differ in size.
+        assert (min(sizes), max(sizes)) == (1291, 1304)
+        jobs = [(r.train, r.val, 100 + r.fold_index) for r in results]
+        train_each_both_ways(jobs, TrainConfig(epochs=2), hidden_size=4)
+
+    def test_early_stopping_at_different_epochs(self):
+        # 37, 52, 67 and 82 training pairs: 2, 2, 3 and 3 batches an epoch,
+        # so the models' Adam step counts drift apart.
+        noise = np.random.default_rng(1).normal(size=400)
+        w = WindowConfig(3, 1)
+        jobs = []
+        for i in range(4):
+            end = i * 100 + 40 + 15 * i
+            jobs.append((make_sequences(noise[i * 100 : end], w),
+                         make_sequences(noise[end : end + 10], w), i))
+        cfg = TrainConfig(epochs=20, early_stopping=True, patience=3, learning_rate=0.1)
+        many = train_each_both_ways(jobs, cfg, hidden_size=4)
+        # Models leave the stack at different epochs, all before the last.
+        last = [out.last_epoch for out in many]
+        assert len(set(last)) > 1 and max(last) < cfg.epochs
+
+    def test_three_way_jobs_with_validation_sets(self, climate):
+        window = WindowConfig(10, 1)
+        clean, leaky = (
+            split(climate, SplitSpec(plan=SplitPlan.three_way(), mode=mode, window=window))[0]
+            for mode in ("clean", "leaky")
+        )
+        assert len(clean.val) != len(leaky.val)
+        jobs = [(clean.train, clean.val, 1), (clean.train, clean.val, 2),
+                (leaky.train, leaky.val, 3)]
+        cfg = TrainConfig(epochs=3, early_stopping=True, patience=2)
+        many = train_each_both_ways(jobs, cfg, hidden_size=4)
+        assert all(len(out.val_loss_history) == out.last_epoch for out in many)
+
+    def test_single_job(self):
+        seqs = make_sequences(np.sin(np.arange(60.0) / 5.0), WindowConfig(5, 1))
+        train_each_both_ways([(seqs, None, 11)], TrainConfig(epochs=3), hidden_size=6)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_lowest_index_failure_is_raised_after_the_rest(self):
+        w = WindowConfig(3, 1)
+        good = make_sequences(np.sin(np.arange(40.0) / 4.0), w)
+        diverging = make_sequences(np.full(12, 1e200), w)
+        empty = make_sequences(np.arange(3.0), w)
+        cfg = TrainConfig(epochs=3, seed=1, scaling="none")
+        with pytest.raises(TrainingError) as alone:
+            train(diverging, None, cfg, hidden_size=4)
+        with pytest.raises(TrainingError) as many:
+            train_many([(good, None, 0), (diverging, None, 1), (empty, None, 2)], cfg, 4)
+        assert str(many.value) == str(alone.value)
+        assert "diverged at epoch 1" in str(many.value)
+        with pytest.raises(TrainingError, match="empty training set"):
+            train_many([(good, None, 0), (empty, None, 2), (diverging, None, 1)], cfg, 4)
+
+    def test_mixed_window_sizes_rejected(self):
+        values = np.arange(20.0)
+        jobs = [(make_sequences(values, WindowConfig(3, 1)), None, 0),
+                (make_sequences(values, WindowConfig(4, 1)), None, 1)]
+        with pytest.raises(TrainingError, match="one window size"):
+            train_many(jobs, TrainConfig(epochs=1), hidden_size=2)
+
+
 class TestPredict:
     def test_empty_set(self):
         model = LstmModel(4)
@@ -302,9 +437,9 @@ class TestGradientCheck:
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
         batch = replace(seqs, starts=seqs.starts[:3])
 
-        def mutated(model, x, y):
-            loss, grad = loss_and_gradients(model, x, y)
-            views = unpack(grad, model.hidden_size)
+        def mutated(theta, x, y, hidden_size):
+            loss, grad = loss_and_gradients(theta, x, y, hidden_size)
+            views = unpack(grad, hidden_size)
             views["w_f"][...] = 0.0
             views["b_f"][...] = 0.0
             return loss, grad

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,27 @@ class TestAggregate:
     def test_dict_round_trip(self):
         stats = aggregate([1.0, 3.0], optimal_epochs=[4, 6])
         assert RunStats.from_dict(stats.to_dict()) == stats
+
+    def test_ci95_equals_the_scipy_stats_t_formula_exactly(self):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(3)
+        for n in range(2, 201):
+            runs = aggregate(rng.normal(2.0, 0.1, size=n))
+            half = float(sps.t.ppf(0.975, n - 1)) * runs.stderr
+            assert runs.ci95 == (runs.mean - half, runs.mean + half)
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, leakbench.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRmseGain:

@@ -74,6 +74,18 @@ class TestExperimentConfig:
         with pytest.raises(LeakbenchError, match="unknown model"):
             base_config(climate_csv, model="transformer")
 
+    @pytest.mark.parametrize("field", ["windows", "lags"])
+    @pytest.mark.parametrize("value", [10.7, 10.0, True, "10", None])
+    def test_non_integer_grid_entry_rejected(self, climate_csv, field, value):
+        # Before, windows=(10.7,) was truncated to (10,) and lags=(True,) became (1,).
+        with pytest.raises(LeakbenchError, match=f"'{field}'"):
+            base_config(climate_csv, **{field: (5, value)})
+
+    def test_integral_grid_entries_stored_as_int(self, climate_csv):
+        cfg = base_config(climate_csv, windows=(np.int64(5),), lags=(np.int32(2),))
+        assert cfg.windows == (5,) and cfg.lags == (2,)
+        assert type(cfg.windows[0]) is int and type(cfg.lags[0]) is int
+
 
 class TestDeriveSeed:
     def test_stable_across_calls(self):
@@ -158,14 +170,14 @@ class TestRunExperiment:
     def test_keep_going_isolates_any_task_exception(self, climate_csv, monkeypatch):
         import leakbench.runner as runner_mod
 
-        real_evaluate = runner_mod._evaluate_fold
+        real_evaluate = runner_mod._evaluate_folds
 
-        def failing_for_w7(cfg, result, train_seed):
-            if result.test.config.window_size == 7:
+        def failing_for_w7(cfg, results, train_seeds):
+            if results[0].test.config.window_size == 7:
                 raise ValueError("numpy trouble")
-            return real_evaluate(cfg, result, train_seed)
+            return real_evaluate(cfg, results, train_seeds)
 
-        monkeypatch.setattr(runner_mod, "_evaluate_fold", failing_for_w7)
+        monkeypatch.setattr(runner_mod, "_evaluate_folds", failing_for_w7)
         cfg = base_config(climate_csv, windows=(5, 7))
         report = run_experiment(cfg, keep_going=True)
         assert {c.window for c in report.cells} == {5}
