@@ -322,7 +322,7 @@ def train(
     return train_many([(train_set, val_set, cfg.seed)], cfg, hidden_size)[0]
 
 
-class _Job:
+class _JobState:
     """What one model of `train_many` keeps for itself: its scaled data, its
     RNG, its loss histories and its early-stopping state."""
 
@@ -411,10 +411,10 @@ def train_many(
     finish: the error that training the jobs one by one, in order, raises.
     """
     failed: dict[int, TrainingError] = {}
-    live: list[_Job] = []
+    live: list[_JobState] = []
     for index, (train_set, val_set, seed) in enumerate(jobs):
         try:
-            live.append(_Job(index, train_set, val_set, seed, cfg, hidden_size))
+            live.append(_JobState(index, train_set, val_set, seed, cfg, hidden_size))
         except TrainingError as exc:
             failed[index] = exc
     if len({job.x.shape[1] for job in live}) > 1:
