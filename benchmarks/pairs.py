@@ -8,9 +8,10 @@ Each seed is one pair: both checkouts run
 `perfbench/run.py --workload W --seed S --seconds 40 --trace 0` from their
 own tree, and the side that runs first alternates from pair to pair. The
 file keeps each run's JSON result lines with the core count and load
-average from its summary.json, and per workload and end-to-end metric the
-median and quartiles of each side and the number of pairs the change won
-(ties count for neither side). Needs only the standard library.
+average from its summary.json, and per workload and end-to-end metric
+(as the change's BENCHMARK.json lists them, with the direction that is
+better) the median and quartiles of each side and the number of pairs the
+change won (ties count for neither side). Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 from pathlib import Path
 
 SECONDS = 40
-METRICS = {"run_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
 
 
 def run_side(tree: Path, workload: str, seed: int) -> list[dict]:
@@ -56,22 +56,23 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(runs: dict[str, list[dict]]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the
-    pairs (same seed) the change won."""
+def compare(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric (BENCHMARK.json entries with a
+    `name` and a `better` of "lower" or "higher"): each side's median and
+    quartiles, and the pairs (same seed) the change won."""
     table: dict = {}
     for rec in runs["parent"]:
         twin = next(r for r in runs["change"]
                     if (r["workload"], r["seed"]) == (rec["workload"], rec["seed"]))
-        for metric in METRICS:
+        for metric in end_to_end:
             row = table.setdefault(rec["workload"], {}).setdefault(
-                metric, {"parent": [], "change": [], "change_wins": 0, "pairs": 0})
-            p = rec["result"]["metrics"][metric]["value"]
-            c = twin["result"]["metrics"][metric]["value"]
+                metric["name"], {"parent": [], "change": [], "change_wins": 0, "pairs": 0})
+            p = rec["result"]["metrics"][metric["name"]]["value"]
+            c = twin["result"]["metrics"][metric["name"]]["value"]
             row["parent"].append(p)
             row["change"].append(c)
             row["pairs"] += 1
-            row["change_wins"] += c < p
+            row["change_wins"] += c < p if metric["better"] == "lower" else c > p
     for metrics in table.values():
         for row in metrics.values():
             row["parent"] = quartiles(row["parent"])
@@ -88,6 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"perfbench/run.py --workload {args.workload} --seed S "
                    f"--seconds {SECONDS} --trace 0",
         "seeds": args.seeds,
-        "comparison": compare(runs),
+        "comparison": compare(runs, benchmark["end_to_end"]),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
     for path in written:
         print(path)
     if report.errors:
-        print(f"{len(report.errors)} cell(s) failed (kept going):", file=sys.stderr)
+        print(f"{len(report.errors)} run(s) failed (kept going):", file=sys.stderr)
         for msg in report.errors:
             print(f"  {msg}", file=sys.stderr)
     return EXIT_OK

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .audit import AuditReport, audit
-from .errors import ContaminationError, LeakbenchError, SplitError
+from .errors import ContaminationError, DataError, LeakbenchError, SplitError
 from .forecaster import (
     TrainConfig,
     baseline_linear_ar,
@@ -55,6 +55,17 @@ _CONVENTIONS = {
     "early_stopping_monitor": "validation MSE when a validation split exists, else training MSE",
     "leakage_rank": "ascending |gain_percent| within a (window, lag) group; ties by plan order 2-way, 3-way, k-fold",
 }
+
+
+def _read_json(p: Path, missing: str):
+    """The parsed JSON content of file `p`; `missing` begins the error
+    raised when there is no such file."""
+    if not p.exists():
+        raise LeakbenchError(f"{missing}: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise LeakbenchError(f"{p}: invalid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,14 +108,7 @@ class ExperimentConfig(Record):
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        p = Path(path)
-        if not p.exists():
-            raise LeakbenchError(f"no such config file: {p}")
-        try:
-            payload = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise LeakbenchError(f"{p}: invalid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_read_json(Path(path), "no such config file"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,9 +458,7 @@ def load_report(path: str | Path) -> ExperimentReport:
     p = Path(path)
     if p.is_dir():
         p = p / "report.json"
-    if not p.exists():
-        raise LeakbenchError(f"no report found at {p}")
-    return ExperimentReport.from_dict(json.loads(p.read_text(encoding="utf-8")))
+    return ExperimentReport.from_dict(_read_json(p, "no report found at"))
 
 
 def emit_plot_data(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
@@ -490,11 +492,20 @@ def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRe
             raise LeakbenchError(f"no such report file: {p}")
         means: dict[tuple, float] = {}
         with open(p, newline="", encoding="utf-8") as fh:
-            for row in _csv.DictReader(fh):
-                if row.get("mode") != mode:
+            reader = _csv.DictReader(fh)
+            for col in ("window", "lag", "plan", "mode", "mean"):
+                if col not in (reader.fieldnames or ()):
+                    raise DataError(f"{p}: missing column '{col}' (have {reader.fieldnames})")
+            for row in reader:
+                if row["mode"] != mode:
                     continue
-                key = (int(row["window"]), int(row["lag"]), row["plan"])
-                means[key] = float(row["mean"])
+                try:
+                    key = (int(row["window"]), int(row["lag"]), row["plan"])
+                    means[key] = float(row["mean"])
+                except (TypeError, ValueError) as exc:
+                    raise DataError(
+                        f"{p}: line {reader.line_num}: cannot parse row: {exc}"
+                    ) from exc
         if not means:
             raise LeakbenchError(f"{p}: no rows with mode={mode!r}")
         return means

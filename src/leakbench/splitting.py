@@ -131,157 +131,89 @@ class SplitResult:
     fold_index: int = 0
 
 
-def _holdout_counts(n: int, fractions: tuple[float, ...]) -> tuple[int, ...]:
-    """Floor every partition except the last; the remainder goes to test."""
-    counts = [math.floor(f * n) for f in fractions[:-1]]
-    counts.append(n - sum(counts))
-    return tuple(counts)
+def _partitions(plan: SplitPlan, n: int) -> list[dict[str, list[tuple[int, int]]]]:
+    """For each fold, the half-open ranges of every partition on an axis of
+    n positions, in the order their emptiness is checked. Every partition
+    has at least one range; one with no positions is one empty range.
 
-
-def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """k near-equal contiguous blocks; the first n % k blocks get one extra."""
-    base, extra = divmod(n, k)
-    bounds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def _require_pairs(s: SequenceSet, partition: str, raw_len: int, fold: int | None = None):
-    if len(s) == 0:
-        where = f" (fold {fold})" if fold is not None else ""
-        raise SplitError(
-            f"empty {partition} partition{where}: raw length {raw_len} yields no "
-            f"pairs for W={s.config.window_size}, L={s.config.lag_step}"
-        )
+    Holdout plans floor every count except the last, which takes the
+    remainder. k_fold cuts k near-equal blocks, the first n % k one longer;
+    fold i tests on block i and trains on the runs before and after it.
+    """
+    if plan.kind == K_FOLD:
+        base, extra = divmod(n, plan.k)
+        folds = []
+        for i in range(plan.k):
+            lo = i * base + min(i, extra)
+            hi = lo + base + (i < extra)
+            runs = [(0, lo), (hi, n)]
+            train = [(a, b) for a, b in runs if a < b] or runs[:1]
+            folds.append({"test": [(lo, hi)], "train": train})
+        return folds
+    names = ("train", "test") if plan.kind == TWO_WAY else ("train", "val", "test")
+    cuts = [0]
+    for f in plan.fractions[:-1]:
+        cuts.append(cuts[-1] + math.floor(f * n))
+    cuts.append(n)
+    return [{name: [(a, b)] for name, a, b in zip(names, cuts, cuts[1:])}]
 
 
 def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
     """Materialize every SplitResult a spec describes.
 
-    Leaky mode builds one sequence set over the whole series and partitions
-    its window starts: sequential takes contiguous prefix/middle/suffix with
-    the train (and val) counts floored and the remainder assigned to test;
-    random permutes the starts first (seeded); k_fold cuts the (possibly
-    permuted) starts into k contiguous blocks and uses block i as the test
-    set of fold i. Partition membership is what the ordering decides; each
-    partition's starts are stored sorted.
-
-    Clean mode applies the same flooring rules to the raw series, keeps the
-    segments chronological (train earliest, then val, then test), and
-    windows each segment independently. Clean k_fold cuts the raw series
-    into k contiguous blocks; fold i tests on sequences inside block i and
-    trains on sequences generated within each maximal contiguous run of the
-    remaining blocks (before/after the test block), as one set.
+    Both modes cut an axis by the same `_partitions` rule and differ only in
+    the axis. Leaky mode cuts the window starts of one sequence set over the
+    whole series, permuted first (seeded) under random order; partition
+    membership is what the ordering decides, and each partition's starts are
+    stored sorted. Clean mode cuts the raw indices 0..n, so segments stay
+    chronological (train earliest, then val, then test), and windows each
+    range of a partition independently: a clean k_fold train set holds the
+    sequences of the raw runs before and after the test block, as one set.
 
     Raises SplitError when any resulting partition has no pairs.
     """
     n = len(series)
-    if spec.mode == MODE_LEAKY:
-        return _split_leaky(series, spec, n)
-    return _split_clean(series, spec, n)
+    plan, window = spec.plan, spec.window
+    geometry = f"W={window.window_size}, L={window.lag_step}"
+    leaky = spec.mode == MODE_LEAKY
+    if leaky:
+        full = make_sequences(series.values, window, offset=0)
+        axis = full.starts
+        if not len(axis):
+            raise SplitError(f"series of length {n} yields no pairs for {geometry}")
+        if spec.order == ORDER_RANDOM:
+            axis = axis[np.random.default_rng(spec.seed).permutation(len(axis))]
 
-
-def _split_leaky(series: TimeSeries, spec: SplitSpec, n: int) -> list[SplitResult]:
-    full = make_sequences(series.values, spec.window, offset=0)
-    total = len(full)
-    if not total:
-        raise SplitError(
-            f"series of length {n} yields no pairs for "
-            f"W={spec.window.window_size}, L={spec.window.lag_step}"
-        )
-    starts = full.starts
-    if spec.order == ORDER_RANDOM:
-        starts = starts[np.random.default_rng(spec.seed).permutation(total)]
-
-    def part(selection: np.ndarray, name: str) -> SequenceSet:
-        if not len(selection):
-            raise SplitError(
-                f"empty {name} partition: {total} total pairs (raw length {n}) "
-                f"leave none for it under plan {spec.plan.label}"
-            )
-        return replace(full, starts=np.sort(selection))
-
-    plan = spec.plan
-    if plan.kind == TWO_WAY:
-        a, _ = _holdout_counts(total, plan.fractions)
-        return [
-            SplitResult(
-                train=part(starts[:a], "train"),
-                val=None,
-                test=part(starts[a:], "test"),
-            )
-        ]
-    if plan.kind == THREE_WAY:
-        a, b, _ = _holdout_counts(total, plan.fractions)
-        return [
-            SplitResult(
-                train=part(starts[:a], "train"),
-                val=part(starts[a : a + b], "val"),
-                test=part(starts[a + b :], "test"),
-            )
-        ]
     results = []
-    for i, (lo, hi) in enumerate(_fold_bounds(total, plan.k)):
-        results.append(
-            SplitResult(
-                train=part(np.concatenate([starts[:lo], starts[hi:]]), "train"),
-                val=None,
-                test=part(starts[lo:hi], "test"),
-                fold_index=i,
-            )
-        )
-    return results
-
-
-def _segment_set(
-    series: TimeSeries, lo: int, hi: int, window: WindowConfig
-) -> SequenceSet:
-    return make_sequences(series.values[lo:hi], window, offset=lo)
-
-
-def _split_clean(series: TimeSeries, spec: SplitSpec, n: int) -> list[SplitResult]:
-    plan = spec.plan
-    window = spec.window
-    if plan.kind in (TWO_WAY, THREE_WAY):
-        counts = _holdout_counts(n, plan.fractions)
-        names = ("train", "test") if plan.kind == TWO_WAY else ("train", "val", "test")
-        segments = {}
-        start = 0
-        for name, size in zip(names, counts):
-            seg = _segment_set(series, start, start + size, window)
-            _require_pairs(seg, name, size)
-            segments[name] = seg
-            start += size
-        return [
-            SplitResult(
-                train=segments["train"],
-                val=segments.get("val"),
-                test=segments["test"],
-            )
-        ]
-
-    bounds = _fold_bounds(n, plan.k)
-    results = []
-    for i, (lo, hi) in enumerate(bounds):
-        test = _segment_set(series, lo, hi, window)
-        _require_pairs(test, "test", hi - lo, fold=i)
-        runs = [(a, b) for a, b in ((0, lo), (hi, n)) if a < b]
-        train = SequenceSet(
-            values=series.values[runs[0][0] :],
-            starts=np.concatenate(
-                [_segment_set(series, a, b, window).starts for a, b in runs]
-            ),
-            source_range=tuple(runs),
-            config=window,
-        )
-        if len(train) == 0:
-            raise SplitError(
-                f"empty train partition (fold {i}): remaining raw runs of "
-                f"lengths {[b - a for a, b in runs]} yield no pairs"
-            )
-        results.append(SplitResult(train=train, val=None, test=test, fold_index=i))
+    for fold, parts in enumerate(_partitions(plan, len(axis) if leaky else n)):
+        sets = {}
+        for name, ranges in parts.items():
+            if leaky:
+                starts = np.concatenate([axis[a:b] for a, b in ranges])
+                part = replace(full, starts=np.sort(starts))
+            else:
+                segments = [
+                    make_sequences(series.values[a:b], window, offset=a) for a, b in ranges
+                ]
+                part = segments[0] if len(segments) == 1 else SequenceSet(
+                    values=series.values[ranges[0][0]:],
+                    starts=np.concatenate([seg.starts for seg in segments]),
+                    source_range=tuple(ranges),
+                    config=window,
+                )
+            if not len(part):
+                where = f" (fold {fold})" if plan.kind == K_FOLD else ""
+                if leaky:
+                    detail = (
+                        f"{len(axis)} total pairs (raw length {n}) leave none "
+                        f"for it under plan {plan.label}"
+                    )
+                else:
+                    raw = " + ".join(str(b - a) for a, b in ranges)
+                    detail = f"raw length {raw} yields no pairs for {geometry}"
+                raise SplitError(f"empty {name} partition{where}: {detail}")
+            sets[name] = part
+        results.append(SplitResult(
+            train=sets["train"], val=sets.get("val"), test=sets["test"], fold_index=fold
+        ))
     return results

@@ -97,6 +97,20 @@ class TestRun:
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
+    def test_keep_going_reports_failed_runs(self, tmp_path, climate_csv, capsys):
+        # W=2000 is infeasible in both modes: 2 cells x 2 repetitions fail.
+        cfg = write_config(
+            tmp_path, climate_csv, windows=[5, 2000], plans=[SplitPlan.two_way().to_dict()]
+        )
+        out = tmp_path / "kept"
+        assert main(["run", cfg, "--keep-going", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "4 run(s) failed (kept going):" in err
+        assert err.count("cell W=2000") == 4
+        rows = (out / "cells.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",")[4] for row in rows) == ["clean", "leaky"]
+        assert all(row.split(",")[1] == "5" for row in rows)
+
 
 class TestAudit:
     def test_prints_rows_without_training(self, tmp_path, climate_csv, capsys):
@@ -165,6 +179,24 @@ class TestGain:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["gain", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
 
+    def test_missing_column_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "cells.csv"
+        p.write_text("name,lag,plan,mode,mean\nx,1,2-way,clean,1.5\n")
+        assert main(["gain", str(p), str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "missing column 'window'" in err
+
+    def test_unparsable_row_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "cells.csv"
+        p.write_text(
+            "name,window,lag,plan,mode,mean\n"
+            "x,5,1,2-way,clean,1.5\n"
+            "x,ten,1,2-way,clean,1.5\n"
+        )
+        assert main(["gain", str(p), str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: line 3: cannot parse row" in err
+
 
 class TestReport:
     def test_reemits_csv_from_run_dir(self, tmp_path, climate_csv):
@@ -187,6 +219,11 @@ class TestReport:
 
     def test_missing_run_dir_is_data_error(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == 2
+
+    def test_unparsable_report_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("{nope")
+        assert main(["report", str(tmp_path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -207,3 +207,125 @@ def test_determinism_same_spec_same_result(n, w, lag, seed):
     for ra, rb in zip(a, b):
         assert ra.train.starts.tolist() == rb.train.starts.tolist()
         assert ra.test.starts.tolist() == rb.test.starts.tolist()
+
+
+def naive_split(n, w, lag, plan, mode, order="sequential", seed=None):
+    """The folds a spec should yield, as one {partition: (starts,
+    source_range)} dict per fold, or None when some partition has no pairs.
+
+    Written from the partition rules position by position, sharing no code
+    with `splitting`: label every position of the axis (window starts in
+    leaky mode, raw indices in clean mode) with its partition, then read
+    each partition's pairs off its labels.
+    """
+    span = w + lag  # raw points one pair covers
+    if mode == "leaky":
+        axis = list(range(max(0, n - span + 1)))
+        if order == "random":
+            axis = [axis[i] for i in np.random.default_rng(seed).permutation(len(axis))]
+    else:
+        axis = list(range(n))
+    size = len(axis)
+    if plan.kind == "k_fold":
+        names = ["train", "test"]
+        blocks = []
+        for i in range(plan.k):
+            blocks += [i] * (size // plan.k + (1 if i < size % plan.k else 0))
+        labellings = [["test" if b == i else "train" for b in blocks] for i in range(plan.k)]
+    else:
+        names = ["train", "test"] if plan.kind == "two_way" else ["train", "val", "test"]
+        labels = []
+        for name, fraction in zip(names, plan.fractions[:-1]):
+            labels += [name] * int(fraction * size)
+        labels += ["test"] * (size - len(labels))
+        labellings = [labels]
+
+    folds = []
+    for labels in labellings:
+        fold = {}
+        for name in names:
+            if mode == "leaky":
+                starts = sorted(t for t, label in zip(axis, labels) if label == name)
+                ranges = ((0, n),)
+            else:
+                runs = []
+                for t, label in enumerate(labels):
+                    if label != name:
+                        continue
+                    if runs and runs[-1][1] == t:
+                        runs[-1][1] = t + 1
+                    else:
+                        runs.append([t, t + 1])
+                starts = [t for lo, hi in runs for t in range(lo, hi - span + 1)]
+                ranges = tuple((lo, hi) for lo, hi in runs)
+            if not starts:
+                return None
+            fold[name] = (starts, ranges)
+        folds.append(fold)
+    return folds
+
+
+@st.composite
+def plans(draw):
+    kind = draw(st.sampled_from(["two_way", "three_way", "k_fold"]))
+    if kind == "k_fold":
+        return SplitPlan.k_fold(draw(st.integers(min_value=2, max_value=12)))
+    train = draw(st.floats(min_value=0.05, max_value=0.85))
+    if kind == "two_way":
+        return SplitPlan.two_way(train)
+    return SplitPlan.three_way(train, draw(st.floats(min_value=0.05, max_value=0.9 - train)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=80),
+    w=st.integers(min_value=1, max_value=6),
+    lag=st.integers(min_value=1, max_value=3),
+    plan=plans(),
+    mode_order=st.sampled_from(
+        [("leaky", "sequential"), ("leaky", "random"), ("clean", "sequential")]
+    ),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_split_matches_naive_partition_loop(n, w, lag, plan, mode_order, seed):
+    mode, order = mode_order
+    s = spec(plan, mode=mode, w=w, lag=lag, order=order, seed=seed)
+    series = make_series(np.arange(float(n)))
+    expected = naive_split(n, w, lag, plan, mode, order, seed)
+    if expected is None:
+        with pytest.raises(SplitError):
+            split(series, s)
+        return
+    results = split(series, s)
+    assert [res.fold_index for res in results] == list(range(len(expected)))
+    for res, fold in zip(results, expected):
+        assert (res.val is None) == ("val" not in fold)
+        for name, (starts, ranges) in fold.items():
+            got = getattr(res, name)
+            assert got.starts.tolist() == starts
+            assert got.source_range == ranges
+            # values[t] == t, so the buffer must line up with raw indices
+            assert got.inputs()[:, 0].tolist() == starts
+            assert got.targets().tolist() == [t + w + lag - 1 for t in starts]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize(
+    "mode,order", [("leaky", "sequential"), ("leaky", "random"), ("clean", "sequential")]
+)
+@pytest.mark.parametrize(
+    "plan", [SplitPlan.two_way(), SplitPlan.three_way(), SplitPlan.k_fold(10)],
+    ids=lambda p: p.label,
+)
+def test_series_shorter_than_one_pair_is_split_error(plan, mode, order, n):
+    # W=4, L=2: one pair spans 6 raw points
+    series = make_series(np.arange(float(n)))
+    with pytest.raises(SplitError):
+        split(series, spec(plan, mode=mode, w=4, lag=2, order=order, seed=3))
+
+
+def test_single_pair_leaves_k_fold_train_empty():
+    # One pair: fold 0 tests on it and no range is left to train on.
+    series = make_series(np.arange(4.0))
+    with pytest.raises(SplitError, match=r"empty train partition \(fold 0\)"):
+        split(series, spec(SplitPlan.k_fold(2), w=3, lag=1))
