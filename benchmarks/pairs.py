@@ -11,7 +11,9 @@ file keeps each run's JSON result lines with the core count and load
 average from its summary.json, and per workload and end-to-end metric
 (as the change's BENCHMARK.json lists them, with the direction that is
 better) the median and quartiles of each side and the number of pairs the
-change won (ties count for neither side). Needs only the standard library.
+change won (ties count for neither side). With `--layers`, it then runs
+`benchmarks/layers.py` on the two source trees and adds its per-layer
+kernel timings under "layers". Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--workload", default="all")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--layers", action="store_true",
+                        help="add benchmarks/layers.py timings of both trees")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -104,6 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         "comparison": compare(runs, benchmark["end_to_end"]),
         "runs": runs,
     }
+    if args.layers:
+        cmd = [sys.executable, str(Path(__file__).with_name("layers.py")),
+               "--src", f"parent={args.parent.resolve() / 'src'}",
+               "--src", f"change={args.change.resolve() / 'src'}"]
+        report["layers"] = json.loads(
+            subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -18,12 +18,14 @@ restore, and scaling fitted on the training partition only.
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import TrainingError
 from .records import Record
@@ -114,8 +116,7 @@ def _blocks(vec: np.ndarray, hidden_size: int):
     """(gate matrix, gate bias, head weights, head bias) views of a vector in
     the parameter layout, or of each row of a stack of such vectors (any
     leading axes). The gate rows are stacked (i, f, o, g) so the hot loop
-    does one matmul per step, one sigmoid over the first three blocks and
-    one tanh over the last."""
+    does one matmul and one tanh call per step for all four gates."""
     h = hidden_size
     nw = 4 * h * (1 + h)
     return (
@@ -141,37 +142,96 @@ def unpack(vec: np.ndarray, hidden_size: int) -> dict[str, np.ndarray]:
     return views
 
 
+_scratch = threading.local()
+
+
+def _scratch_arrays(name: str, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Contiguous float64 arrays of the given shapes, carved one after the
+    other from a flat buffer `name` that this thread keeps from call to
+    call (grown when too small). Fresh buffers of a few MB on every kernel
+    call are handed back to the OS when freed and page-faulted in again on
+    the next call, which costs as much as the arithmetic. The arrays hold
+    whatever the last call left there."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buf = np.empty(sum(sizes))
+    else:
+        buf = buffers.get(name)
+        if buf is None or buf.size < sum(sizes):
+            buf = buffers[name] = None  # free the old buffer before allocating
+            buf = buffers[name] = np.empty(sum(sizes))
+    out, pos = [], 0
+    for shape, size in zip(shapes, sizes):
+        out.append(buf[pos : pos + size].reshape(shape))
+        pos += size
+    return out
+
+
+@contextmanager
+def _scratch_kept():
+    """Within this block the kernel keeps its scratch buffers on this thread
+    from call to call; outside it every call allocates its own."""
+    outer = getattr(_scratch, "buffers", None)
+    _scratch.buffers = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _scratch.buffers = outer
+
+
 def _forward_cached(theta: np.ndarray, x: np.ndarray, hidden_size: int):
     """Forward pass of M models at once, keeping per-step activations for
     BPTT: `theta` (M, P) and `x` (M, B, W) give predictions (M, B). Every
     product is a stacked matmul, which makes the same GEMM call per model
     as a 2-D `@` on that model alone, so a model's numbers do not depend on
-    which others share the call."""
+    which others share the call.
+
+    Step t multiplies z_t = [1, x_t, h_{t-1}] (M, B, 2+H) by the gate
+    matrix with the bias as its first row, so the bias add is inside the
+    GEMM. Its activations are stored gate-major, (4, M, B, H) with blocks
+    (i, f, o, g), so every elementwise op works on contiguous blocks, and
+    one tanh call covers all four gates: sigmoid(a) = 0.5 + 0.5 tanh(a/2),
+    with the halving folded into the i/f/o rows of that matrix (exact, a
+    power of two). The caches are z (M, W+1, B, 2+H), the activations
+    (W, 4, M, B, H) and the cell states (W+1, M, B, H) with c_0 = 0, plus
+    the (M, B, 4H) pre-activation buffer, free for the backward pass to
+    reuse; all are scratch arrays that a later call may overwrite."""
     models, batch, steps = x.shape
-    h_size = hidden_size
-    w, b, w_out, b_out = _blocks(theta, h_size)
-    w_t = w.transpose(0, 2, 1)
-    b = b[:, None, :]
-    h = np.zeros((models, batch, h_size))
-    c = np.zeros((models, batch, h_size))
-    caches = []
+    hs = hidden_size
+    w, b, w_out, b_out = _blocks(theta, hs)
+    z, act, c, tc, pre = _scratch_arrays(
+        "forward",
+        (models, steps + 1, batch, 2 + hs),
+        (steps, 4, models, batch, hs),
+        (steps + 1, models, batch, hs),
+        (models, batch, hs),
+        (models, batch, 4 * hs),
+    )
+    half = np.repeat([0.5, 0.5, 0.5, 1.0], hs)
+    w_aug = np.empty((models, 2 + hs, 4 * hs))
+    w_aug[:, 0] = b * half
+    np.multiply(w.transpose(0, 2, 1), half, out=w_aug[:, 1:])
+    z[..., 0] = 1.0
+    z[:, :steps, :, 1] = x.transpose(0, 2, 1)
+    z[:, 0, :, 2:] = 0.0
+    c[0] = 0.0
+    pre_gm = pre.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
     for t in range(steps):
-        z = np.concatenate([x[:, :, t : t + 1], h], axis=2)
-        pre = z @ w_t + b
-        act = np.empty_like(pre)
-        act[..., : 3 * h_size] = sigmoid(pre[..., : 3 * h_size])
-        act[..., 3 * h_size :] = np.tanh(pre[..., 3 * h_size :])
-        i = act[..., :h_size]
-        f = act[..., h_size : 2 * h_size]
-        o = act[..., 2 * h_size : 3 * h_size]
-        g = act[..., 3 * h_size :]
-        c_prev = c
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        caches.append((z, act, c_prev, tc))
+        np.matmul(z[:, t], w_aug, out=pre)
+        np.tanh(pre_gm, out=act[t])
+        sig = act[t, :3]
+        sig *= 0.5
+        sig += 0.5
+        i, f, o, g = act[t]
+        np.multiply(f, c[t], out=c[t + 1])
+        np.multiply(i, g, out=tc)
+        c[t + 1] += tc
+        np.tanh(c[t + 1], out=tc)
+        np.multiply(o, tc, out=z[:, t + 1, :, 2:])
+    h = z[:, steps, :, 2:]
     y = (h @ w_out[:, :, None])[..., 0] + b_out
-    return y, (caches, h)
+    return y, ((z, act, c, pre), h)
 
 
 def loss_and_gradients(
@@ -179,39 +239,72 @@ def loss_and_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch-mean MSE of each of M models and its analytic gradient:
     `theta` (M, P), `x` (M, B, W) and `targets` (M, B) give losses (M,) and
-    gradients (M, P), each row in the parameter layout."""
-    models, batch, _ = x.shape
-    h_size = hidden_size
-    y, (caches, h_last) = _forward_cached(theta, x, h_size)
+    gradients (M, P), each row in the parameter layout.
+
+    Each step forms its gate derivatives gate-major in per-step scratch
+    buffers, then lays them out once as rows (M, B, 4H) for two GEMMs: with
+    z_t it adds the step's gate matrix and bias gradients (the bias is z's
+    first column), and with the recurrent weights it gives dh_{t-1}
+    (skipped at t = 0). tanh(c_t) is recomputed, not cached, so the
+    scratch is no larger than the cache of the plain per-step kernel."""
+    models, batch, steps = x.shape
+    hs = hidden_size
+    y, ((z, act, c, rows), h_last) = _forward_cached(theta, x, hs)
     resid = y - targets
     loss = np.mean(resid**2, axis=1)
 
-    w, _, w_out, _ = _blocks(theta, h_size)
+    w, _, w_out, _ = _blocks(theta, hs)
+    w_h = w[..., 1:]
     grad = np.zeros_like(theta)
-    dw, db, dw_out, db_out = _blocks(grad, h_size)
+    dw, db, dw_out, db_out = _blocks(grad, hs)
     dy = 2.0 * resid / batch
     dw_out[:] = (h_last.transpose(0, 2, 1) @ dy[:, :, None])[..., 0]
     db_out[:, 0] = dy.sum(axis=1)
-    dh = dy[:, :, None] * w_out[:, None, :]
-    dc = np.zeros_like(dh)
-    da = np.empty((models, batch, 4 * h_size))
-    for t in range(len(caches) - 1, -1, -1):
-        z, act, c_prev, tc = caches[t]
-        i = act[..., :h_size]
-        f = act[..., h_size : 2 * h_size]
-        o = act[..., 2 * h_size : 3 * h_size]
-        g = act[..., 3 * h_size :]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc**2)
-        da[..., :h_size] = (dc * g) * i * (1.0 - i)
-        da[..., h_size : 2 * h_size] = (dc * c_prev) * f * (1.0 - f)
-        da[..., 2 * h_size : 3 * h_size] = do * o * (1.0 - o)
-        da[..., 3 * h_size :] = (dc * i) * (1.0 - g**2)
-        dw += da.transpose(0, 2, 1) @ z
-        db += da.sum(axis=1)
-        dz = da @ w
-        dh = dz[..., 1:]
-        dc = dc * f
+    # `rows`, the (M, B, 4H) layout of a step's gate derivatives, reuses the
+    # forward's pre-activation buffer.
+    dw_aug, dw_step, da, dh, dc, tc = _scratch_arrays(
+        "backward",
+        (models, 4 * hs, 2 + hs),
+        (models, 4 * hs, 2 + hs),
+        (4, models, batch, hs),
+        *[(models, batch, hs)] * 3,
+    )
+    np.multiply(dy[:, :, None], w_out[:, None, :], out=dh)
+    dc[...] = 0.0
+    dw_aug[...] = 0.0
+    rows_gm = rows.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
+    for t in range(steps - 1, -1, -1):
+        sig = act[t, :3]
+        i, f, o, g = act[t]
+        np.tanh(c[t + 1], out=tc)
+        # dc += dh o (1 - tanh(c_t)^2), with da[3] as scratch
+        np.multiply(tc, tc, out=da[3])
+        np.subtract(1.0, da[3], out=da[3])
+        da[3] *= o
+        da[3] *= dh
+        dc += da[3]
+        # i, f, o: s - s^2 times dc g, dc c_{t-1} and dh tanh(c_t)
+        np.multiply(sig, sig, out=da[:3])
+        np.subtract(sig, da[:3], out=da[:3])
+        da[0] *= dc
+        da[0] *= g
+        da[1] *= dc
+        da[1] *= c[t]
+        da[2] *= dh
+        da[2] *= tc
+        # g: (1 - g^2) dc i
+        np.multiply(g, g, out=da[3])
+        np.subtract(1.0, da[3], out=da[3])
+        da[3] *= dc
+        da[3] *= i
+        np.copyto(rows_gm, da)
+        np.matmul(rows.transpose(0, 2, 1), z[:, t], out=dw_step)
+        dw_aug += dw_step
+        if t:
+            np.matmul(rows, w_h, out=dh)
+            dc *= f
+    db[:] = dw_aug[..., 0]
+    dw[:] = dw_aug[..., 1:]
     return loss, grad
 
 
@@ -393,6 +486,7 @@ def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
     return [(np.array(rows), size) for size, rows in by_size.items()]
 
 
+@_scratch_kept()
 def train_many(
     jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int = 64
 ) -> list[TrainOutcome]:
@@ -409,6 +503,7 @@ def train_many(
     early or diverges leaves the stack. If any job failed, the
     TrainingError of the lowest-index failed job is raised after the others
     finish: the error that training the jobs one by one, in order, raises.
+    The kernel keeps its scratch buffers for the length of the call.
     """
     failed: dict[int, TrainingError] = {}
     live: list[_JobState] = []
@@ -424,13 +519,14 @@ def train_many(
     theta = np.array([job.initial_theta for job in live])
     adam = _Adam(theta.shape, cfg.learning_rate)
     running = list(range(count))
+    # Each epoch's shuffled pairs of every running model, one row each.
+    window = live[0].x.shape[1] if live else 0
+    xs = np.empty((count, max((job.n for job in live), default=0), window))
+    ys = np.empty(xs.shape[:2])
     for epoch in range(1, cfg.epochs + 1):
         if not running:
             break
-        # This epoch's shuffled pairs of every running model, one row each.
         longest = max(live[r].n for r in running)
-        xs = np.empty((count, longest, live[running[0]].x.shape[1]))
-        ys = np.empty((count, longest))
         for r in running:
             job = live[r]
             order = job.rng.permutation(job.n)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import os
+import platform
 import secrets
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .audit import AuditReport, audit
@@ -270,6 +272,24 @@ def _execute_task(
         return cell, rep, exc
 
 
+def environment(workers: int) -> dict:
+    """The software and machine a run's last bits depend on: interpreter,
+    numpy and scipy versions, the BLAS numpy was built with, the SIMD
+    extensions numpy found on this CPU (its tanh and exp are SIMD code),
+    the core count and the worker count."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "simd_found": list(config["SIMD Extensions"]["found"]),
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+    }
+
+
 def run_experiment(
     cfg: ExperimentConfig, workers: int = 1, keep_going: bool = False
 ) -> ExperimentReport:
@@ -280,8 +300,11 @@ def run_experiment(
     keep_going), train all folds together, predict on test, RMSE. A cell's
     run RMSE under k-fold is the mean of its per-fold test RMSEs. Cell
     failures abort unless keep_going, in which case they are recorded in
-    report.errors. A null base_seed is replaced by one drawn seed, which the provenance
-    config records (with base_seed_drawn true).
+    report.errors; a worker process that dies fails the tasks it took down
+    and those not yet started, and the results that came back are kept. A
+    null base_seed is replaced by one drawn seed, which the provenance
+    config records (with base_seed_drawn true). The provenance also records
+    the environment (`environment`).
     """
     seed_drawn = cfg.base_seed is None
     if seed_drawn:
@@ -293,8 +316,21 @@ def run_experiment(
 
     execute = partial(_execute_task, series, cfg)
     if workers > 1:
+        # Imported here: multiprocessing adds 0.5 MB to every serial run.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        completed = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            completed = list(pool.map(execute, tasks))
+            futures = [pool.submit(execute, task) for task in tasks]
+            for (cell, rep, _), future in zip(tasks, futures):
+                try:
+                    completed.append(future.result())
+                except BrokenProcessPool as exc:
+                    # A worker died (a signal, out of memory): the tasks it
+                    # took down and those not yet started fail like any
+                    # other task.
+                    completed.append((cell, rep, exc))
     else:
         completed = [execute(t) for t in tasks]
 
@@ -348,6 +384,7 @@ def run_experiment(
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "conventions": dict(_CONVENTIONS),
+        "environment": environment(workers),
     }
     return ExperimentReport(
         name=cfg.name,

@@ -12,6 +12,7 @@ from leakbench.errors import TrainingError
 from leakbench.forecaster import (
     LstmModel,
     _Adam,
+    _forward_cached,
     Scaler,
     TrainConfig,
     baseline_linear_ar,
@@ -146,6 +147,133 @@ class TestParameterLayout:
     def test_wrong_length_rejected(self):
         with pytest.raises(TrainingError, match="theta has shape"):
             LstmModel(2, np.zeros(5))
+
+
+def _sigmoid(v: float) -> float:
+    if v >= 0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
+
+
+def oracle_loss_and_gradient(theta, x, targets, h):
+    """Batch-mean MSE of one model and its gradient, one sample and one
+    scalar at a time with math.exp and math.tanh. It reads the parameter
+    layout by index arithmetic, (4H, 1+H) gate rows (i, f, o, g), the gate
+    bias, w_out, b_out, and shares no code with the vectorized kernel."""
+    theta = [float(v) for v in theta]
+    rows = 4 * h
+    nw = rows * (1 + h)
+    wm = [theta[r * (1 + h) : (r + 1) * (1 + h)] for r in range(rows)]
+    bias = theta[nw : nw + rows]
+    w_out = theta[nw + rows : nw + rows + h]
+    b_out = theta[nw + rows + h]
+    grad = [0.0] * len(theta)
+    batch = len(x)
+    loss = 0.0
+    preds = []
+    for seq, target in zip(x, targets):
+        hs, cs, steps = [[0.0] * h], [[0.0] * h], []
+        for xt in seq:
+            z = [float(xt)] + hs[-1]
+            a = [bias[r] + sum(wm[r][k] * z[k] for k in range(1 + h)) for r in range(rows)]
+            i = [_sigmoid(v) for v in a[:h]]
+            f = [_sigmoid(v) for v in a[h : 2 * h]]
+            o = [_sigmoid(v) for v in a[2 * h : 3 * h]]
+            g = [math.tanh(v) for v in a[3 * h :]]
+            c = [f[j] * cs[-1][j] + i[j] * g[j] for j in range(h)]
+            tc = [math.tanh(v) for v in c]
+            steps.append((z, i, f, o, g, tc))
+            cs.append(c)
+            hs.append([o[j] * tc[j] for j in range(h)])
+        y = sum(w_out[j] * hs[-1][j] for j in range(h)) + b_out
+        preds.append(y)
+        loss += (y - target) ** 2 / batch
+        dy = 2.0 * (y - target) / batch
+        for j in range(h):
+            grad[nw + rows + j] += dy * hs[-1][j]
+        grad[nw + rows + h] += dy
+        dh = [dy * w_out[j] for j in range(h)]
+        dc = [0.0] * h
+        for t in range(len(seq) - 1, -1, -1):
+            z, i, f, o, g, tc = steps[t]
+            da = [0.0] * rows
+            for j in range(h):
+                dc[j] += dh[j] * o[j] * (1.0 - tc[j] ** 2)
+                da[j] = dc[j] * g[j] * i[j] * (1.0 - i[j])
+                da[h + j] = dc[j] * cs[t][j] * f[j] * (1.0 - f[j])
+                da[2 * h + j] = dh[j] * tc[j] * o[j] * (1.0 - o[j])
+                da[3 * h + j] = dc[j] * i[j] * (1.0 - g[j] ** 2)
+            for r in range(rows):
+                for k in range(1 + h):
+                    grad[r * (1 + h) + k] += da[r] * z[k]
+                grad[nw + r] += da[r]
+            dh = [sum(da[r] * wm[r][1 + j] for r in range(rows)) for j in range(h)]
+            dc = [dc[j] * f[j] for j in range(h)]
+    return loss, np.array(grad), np.array(preds)
+
+
+ORACLE_RTOL = 1e-12
+
+
+def random_stack(seed, models, batch, steps, h):
+    """Initialized models with perturbed biases, inputs and targets."""
+    rng = np.random.default_rng(seed)
+    theta = np.stack([LstmModel.initialize(h, rng).theta for _ in range(models)])
+    theta += rng.normal(scale=0.3, size=theta.shape)
+    return theta, rng.normal(size=(models, batch, steps)), rng.normal(size=(models, batch))
+
+
+def assert_matches_oracle(theta, x, targets, h):
+    loss, grad = loss_and_gradients(theta, x, targets, h)
+    for m in range(theta.shape[0]):
+        want_loss, want_grad, want_preds = oracle_loss_and_gradient(theta[m], x[m], targets[m], h)
+        assert loss[m] == pytest.approx(want_loss, rel=ORACLE_RTOL)
+        # An entry that sums terms of both signs may cancel to far below the
+        # others, so the absolute floor is the tolerance times the largest.
+        np.testing.assert_allclose(
+            grad[m], want_grad, rtol=ORACLE_RTOL,
+            atol=ORACLE_RTOL * np.abs(want_grad).max(),
+        )
+        np.testing.assert_allclose(
+            LstmModel(h, theta[m]).forward(x[m]), want_preds, rtol=ORACLE_RTOL,
+            atol=ORACLE_RTOL * np.abs(want_preds).max(),
+        )
+
+
+class TestKernelOracle:
+    """The stacked kernel against a per-sample scalar LSTM, and each row of
+    a stacked call against the same model alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        models=st.integers(1, 3),
+        batch=st.integers(1, 9),
+        steps=st.integers(1, 6),
+        h=st.integers(1, 6),
+    )
+    def test_matches_scalar_oracle(self, seed, models, batch, steps, h):
+        assert_matches_oracle(*random_stack(seed, models, batch, steps, h), h)
+
+    def test_matches_scalar_oracle_at_benchmark_shape(self):
+        # kfold-lstm: 10 folds, batch 32, W = 10, H = 16
+        assert_matches_oracle(*random_stack(2024, 10, 32, 10, 16), 16)
+
+    @pytest.mark.parametrize("h", [1, 3, 5, 16])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_each_row_of_a_stack_equals_the_model_alone(self, h, batch):
+        theta, x, targets = random_stack(h * 100 + batch, 5, batch, 6, h)
+        loss, grad = loss_and_gradients(theta, x, targets, h)
+        for m in range(5):
+            alone_loss, alone_grad = loss_and_gradients(
+                theta[m : m + 1], x[m : m + 1], targets[m : m + 1], h
+            )
+            assert np.array_equal(loss[m], alone_loss[0])
+            assert np.array_equal(grad[m], alone_grad[0])
+            assert np.array_equal(
+                LstmModel(h, theta[m]).forward(x[m]), _forward_cached(theta, x, h)[0][m]
+            )
 
 
 class TestScaler:

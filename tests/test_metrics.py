@@ -137,7 +137,8 @@ def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, leakbench.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing') "
+        "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -186,6 +186,48 @@ class TestRunExperiment:
         with pytest.raises(SplitError, match="W=7"):
             run_experiment(cfg)
 
+    def test_killed_worker_fails_its_tasks_and_keeps_the_rest(self, climate_csv, monkeypatch):
+        import concurrent.futures
+        import multiprocessing
+        import os
+        import time
+        from functools import partial
+
+        import leakbench.runner as runner_mod
+
+        real_run_once = runner_mod._run_once
+
+        def killed_on_w7(series, cfg, cell, rep, spec):
+            if cell.window == 7:
+                time.sleep(0.5)  # the W=5 results come back first
+                os._exit(1)
+            return real_run_once(series, cfg, cell, rep, spec)
+
+        # Forked workers inherit the patched _run_once.
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(runner_mod, "_run_once", killed_on_w7)
+        pool = partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        cfg = base_config(climate_csv, windows=(5, 7))
+        report = run_experiment(cfg, workers=2, keep_going=True)
+        assert {c.window for c in report.cells} == {5}
+        assert len(report.errors) == 4  # 2 modes x 2 repetitions of W=7
+        assert all("W=7" in e and "BrokenProcessPool" in e for e in report.errors)
+        with pytest.raises(SplitError, match="W=7.*BrokenProcessPool"):
+            run_experiment(cfg, workers=2)
+
+    def test_provenance_records_the_environment(self, climate_csv, tmp_path):
+        report = run_experiment(base_config(climate_csv), workers=1)
+        env = report.provenance["environment"]
+        assert set(env) == {
+            "python", "numpy", "scipy", "blas", "simd_found", "cpu_count", "workers",
+        }
+        assert env["numpy"] == np.__version__ and env["workers"] == 1
+        assert set(env["blas"]) == {"name", "version"}
+        assert isinstance(env["simd_found"], list)
+        emit_report(report, tmp_path, fmt="json")
+        assert load_report(tmp_path).provenance["environment"] == env
+
     def test_null_seed_is_drawn_recorded_and_replayable(self, climate_csv, tmp_path):
         cfg = base_config(
             climate_csv, model="lstm", hidden_size=4,
