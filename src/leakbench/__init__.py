@@ -32,7 +32,6 @@ from .forecaster import (
     train,
     train_many,
     unpack,
-    write_loss_history,
 )
 from .metrics import GainRecord, RunStats, aggregate, leakage_rank, rmse, rmse_gain
 from .runner import (
@@ -111,6 +110,5 @@ __all__ = [
     "train_many",
     "unpack",
     "write_csv",
-    "write_loss_history",
     "write_reference_csv",
 ]

@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="leakbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a full experiment grid")
     p_run.add_argument("config", help="experiment config (JSON)")
     p_run.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=positive_int, default=1)
     p_run.add_argument("--keep-going", action="store_true")
     p_run.add_argument("--out", default=None, help="output directory (default ./runs/<name>)")
 

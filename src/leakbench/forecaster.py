@@ -22,7 +22,6 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,12 +46,13 @@ class Scaler:
     scale: float
 
     @classmethod
-    def fit(cls, kind: str, train: SequenceSet) -> "Scaler":
+    def fit(cls, kind: str, inputs: np.ndarray, targets: np.ndarray) -> "Scaler":
+        """Fit on the training partition's (N, W) inputs and (N,) targets."""
         if kind not in SCALING_KINDS:
             raise TrainingError(f"unknown scaling kind {kind!r}")
         if kind == "none":
             return cls(kind=kind, shift=0.0, scale=1.0)
-        pool = np.concatenate([train.inputs().ravel(), train.targets()])
+        pool = np.concatenate([inputs.ravel(), targets])
         if kind == "minmax":
             lo, hi = float(pool.min()), float(pool.max())
             return cls(kind=kind, shift=lo, scale=(hi - lo) or 1.0)
@@ -313,18 +313,12 @@ class _Adam:
     of M models that may step at different times: each row of the (M, P)
     moments belongs to one model, and each model counts its own steps."""
 
-    def __init__(
-        self,
-        shape: tuple[int, int],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, shape: tuple[int, int], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = np.zeros(shape[0], dtype=np.int64)
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
@@ -354,7 +348,6 @@ class TrainConfig(Record):
     batch_size: int = 32
     early_stopping: bool = False
     patience: int = 10
-    seed: int | None = None
     scaling: str = "zscore"
 
     def __post_init__(self) -> None:
@@ -401,7 +394,8 @@ def train(
     train_set: SequenceSet,
     val_set: Optional[SequenceSet],
     cfg: TrainConfig,
-    hidden_size: int = 64,
+    hidden_size: int,
+    seed: Optional[int] = None,
 ) -> TrainOutcome:
     """Mini-batch Adam on MSE over the (scaled) training pairs.
 
@@ -409,10 +403,10 @@ def train(
     partitions. With early stopping on, the monitor is the validation MSE
     when `val_set` is given and the epoch training MSE otherwise; training
     halts after `patience` epochs without improvement and the best-epoch
-    weights are restored. Fully deterministic for a fixed seed (`cfg.seed`).
-    This is `train_many` with one job.
+    weights are restored. Fully deterministic for a fixed `seed`; None
+    draws fresh entropy. This is `train_many` with one job.
     """
-    return train_many([(train_set, val_set, cfg.seed)], cfg, hidden_size)[0]
+    return train_many([(train_set, val_set, seed)], cfg, hidden_size)[0]
 
 
 class _JobState:
@@ -433,9 +427,10 @@ class _JobState:
         if cfg.early_stopping and val_set is not None and len(val_set) == 0:
             raise TrainingError("early stopping requires a non-empty monitor set")
         self.index = index
-        self.scaler = Scaler.fit(cfg.scaling, train_set)
-        self.x = self.scaler.transform(train_set.inputs())
-        self.y = self.scaler.transform(train_set.targets())
+        inputs, targets = train_set.inputs(), train_set.targets()
+        self.scaler = Scaler.fit(cfg.scaling, inputs, targets)
+        self.x = self.scaler.transform(inputs)
+        self.y = self.scaler.transform(targets)
         self.n = self.x.shape[0]
         self.x_val = self.y_val = None
         if val_set is not None:
@@ -487,12 +482,10 @@ def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
 
 
 @_scratch_kept()
-def train_many(
-    jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int = 64
-) -> list[TrainOutcome]:
+def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[TrainOutcome]:
     """Train one model per job (train_set, val_set, seed) in lockstep, as one
     stacked batch with a leading model axis, and return the outcomes in job
-    order. `cfg.seed` is not used; each job brings its own.
+    order.
 
     Each model gets bit for bit what `train` on its job alone gives: its
     own scaler, RNG (the init draw, then one permutation per epoch), loss
@@ -593,33 +586,16 @@ def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:
     return scaler.inverse_transform(outputs)
 
 
-def write_loss_history(outcome: TrainOutcome, path) -> None:
-    """Per-epoch loss record as CSV: epoch,train_mse[,val_mse]."""
-    has_val = outcome.val_loss_history is not None
-    lines = ["epoch,train_mse,val_mse" if has_val else "epoch,train_mse"]
-    for i, train_mse in enumerate(outcome.train_loss_history, start=1):
-        if has_val:
-            lines.append(f"{i},{train_mse!r},{outcome.val_loss_history[i - 1]!r}")
-        else:
-            lines.append(f"{i},{train_mse!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
-def gradient_check(
-    model: LstmModel,
-    batch: SequenceSet,
-    epsilon: float = 1e-5,
-    grad_fn: GradFn | None = None,
-) -> float:
+def gradient_check(model: LstmModel, batch: SequenceSet, grad_fn: GradFn | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Checks every parameter of the batch-MSE gradient; the relative error
-    denominator is max(|analytic|, |numeric|, 1e-8). Restricted to small
-    models (H <= 8, W <= 6) to keep the finite differences well
-    conditioned. `grad_fn` substitutes the analytic gradient (same
+    Checks every parameter of the batch-MSE gradient with a step of 1e-5;
+    the relative error denominator is max(|analytic|, |numeric|, 1e-8).
+    Restricted to small models (H <= 8, W <= 6) to keep the finite
+    differences well conditioned. `grad_fn` substitutes the analytic gradient (same
     signature and stacked shapes as `loss_and_gradients`; called with one
     model), which lets tests verify that a broken gradient is detected.
     """
@@ -636,6 +612,7 @@ def gradient_check(
     _, grad = fn(model.theta[None], x, y, h)
 
     theta = model.theta
+    epsilon = 1e-5
     max_rel = 0.0
     for idx in range(theta.size):
         orig = theta[idx]

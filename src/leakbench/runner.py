@@ -304,8 +304,10 @@ def run_experiment(
     and those not yet started, and the results that came back are kept. A
     null base_seed is replaced by one drawn seed, which the provenance
     config records (with base_seed_drawn true). The provenance also records
-    the environment (`environment`).
+    the environment (`environment`). `workers` must be >= 1.
     """
+    if workers < 1:
+        raise LeakbenchError(f"workers must be >= 1, got {workers}")
     seed_drawn = cfg.base_seed is None
     if seed_drawn:
         cfg = replace(cfg, base_seed=secrets.randbits(63))

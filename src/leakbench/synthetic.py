@@ -84,14 +84,14 @@ def reference_values() -> np.ndarray:
     return _cached_values
 
 
-def reference_series(name: str = "meantemp") -> TimeSeries:
-    """The bundled reference series as a TimeSeries."""
+def reference_series() -> TimeSeries:
+    """The bundled reference series as a TimeSeries named `meantemp`."""
     stamps = tuple(
         REFERENCE_START + timedelta(days=int(i)) for i in range(REFERENCE_COUNT)
     )
-    return TimeSeries(name=name, timestamps=stamps, values=reference_values())
+    return TimeSeries(name="meantemp", timestamps=stamps, values=reference_values())
 
 
-def write_reference_csv(path: str | Path, name: str = "meantemp") -> Path:
+def write_reference_csv(path: str | Path) -> Path:
     """Write the reference series to a CSV usable by the CLI and runner."""
-    return write_csv(reference_series(name=name), path)
+    return write_csv(reference_series(), path)

@@ -66,6 +66,14 @@ class TestUsage:
     def test_bad_format_choice_exits_1(self, tmp_path):
         assert main(["report", str(tmp_path), "--format", "xml"]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_1(self, tmp_path, climate_csv, capsys, workers):
+        cfg = write_config(tmp_path, climate_csv)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--workers", workers, "--out", str(out)]) == 1
+        assert "--workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_writes_reports(self, tmp_path, climate_csv, capsys):

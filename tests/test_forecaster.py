@@ -25,7 +25,7 @@ from leakbench.forecaster import (
     unpack,
 )
 from leakbench.splitting import SplitPlan, SplitSpec, split
-from leakbench.windowing import WindowConfig, make_sequences
+from leakbench.windowing import SequenceSet, WindowConfig, make_sequences
 
 from conftest import make_series
 
@@ -280,27 +280,27 @@ class TestScaler:
     @pytest.mark.parametrize("kind", ["none", "minmax", "zscore"])
     def test_round_trip(self, kind):
         seqs = make_sequences(np.linspace(-3.0, 9.0, 20), WindowConfig(4, 1))
-        scaler = Scaler.fit(kind, seqs)
+        scaler = Scaler.fit(kind, seqs.inputs(), seqs.targets())
         x = np.array([-7.0, 0.0, 3.3, 12.0])
         np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(x)), x, atol=1e-9)
 
     def test_constant_data_stays_invertible(self):
         seqs = make_sequences(np.full(10, 2.5), WindowConfig(3, 1))
         for kind in ("minmax", "zscore"):
-            scaler = Scaler.fit(kind, seqs)
+            scaler = Scaler.fit(kind, seqs.inputs(), seqs.targets())
             np.testing.assert_allclose(
                 scaler.inverse_transform(scaler.transform(np.array([2.5]))), [2.5]
             )
 
     def test_parameters_immutable(self):
         seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
-        scaler = Scaler.fit("zscore", seqs)
+        scaler = Scaler.fit("zscore", seqs.inputs(), seqs.targets())
         with pytest.raises(Exception):
             scaler.shift = 0.0
 
     def test_fit_uses_training_pool_only(self):
         train_seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
-        scaler = Scaler.fit("minmax", train_seqs)
+        scaler = Scaler.fit("minmax", train_seqs.inputs(), train_seqs.targets())
         before = (scaler.shift, scaler.scale)
         scaler.transform(np.array([1e9, -1e9]))  # far outside the train range
         assert (scaler.shift, scaler.scale) == before
@@ -309,7 +309,7 @@ class TestScaler:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=30))
     def test_round_trip_property(self, raw):
         seqs = make_sequences(np.asarray(raw), WindowConfig(2, 1))
-        scaler = Scaler.fit("zscore", seqs)
+        scaler = Scaler.fit("zscore", seqs.inputs(), seqs.targets())
         x = np.asarray(raw)
         np.testing.assert_allclose(
             scaler.inverse_transform(scaler.transform(x)), x, atol=1e-6, rtol=1e-9
@@ -322,7 +322,7 @@ class TestTrainConfig:
             TrainConfig(epochs=5, early_stopping=True, patience=5)
 
     def test_dict_round_trip(self):
-        cfg = TrainConfig(epochs=20, early_stopping=True, patience=3, seed=1, scaling="minmax")
+        cfg = TrainConfig(epochs=20, early_stopping=True, patience=3, scaling="minmax")
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -331,8 +331,8 @@ class TestTrain:
         c = 5.0
         series = make_series(np.full(50, c))
         seqs = make_sequences(series.values, WindowConfig(4, 1))
-        cfg = TrainConfig(epochs=50, seed=3)
-        outcome = train(seqs, None, cfg, hidden_size=8)
+        cfg = TrainConfig(epochs=50)
+        outcome = train(seqs, None, cfg, hidden_size=8, seed=3)
         preds = predict(outcome.model, outcome.scaler, seqs)
         final_rmse = float(np.sqrt(np.mean((preds - seqs.targets()) ** 2)))
         assert final_rmse < 0.05 * abs(c) + 0.01
@@ -343,10 +343,8 @@ class TestTrain:
         # from epoch 1 and stopping must land exactly at 1 + patience.
         train_seqs = make_sequences([0.0, 0.0, 0.0, 1.0], WindowConfig(3, 1))
         val_seqs = make_sequences([0.0, 0.0, 0.0, -5.0], WindowConfig(3, 1))
-        cfg = TrainConfig(
-            epochs=50, early_stopping=True, patience=4, seed=0, scaling="none"
-        )
-        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4)
+        cfg = TrainConfig(epochs=50, early_stopping=True, patience=4, scaling="none")
+        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4, seed=0)
         assert outcome.last_epoch == 1 + 4
         assert outcome.optimal_epoch == 1
         monitor = outcome.val_loss_history
@@ -355,9 +353,9 @@ class TestTrain:
     def test_seeded_training_is_bit_reproducible(self):
         series = make_series(np.sin(np.arange(60.0) / 5.0))
         seqs = make_sequences(series.values, WindowConfig(5, 1))
-        cfg = TrainConfig(epochs=4, seed=11)
-        a = train(seqs, None, cfg, hidden_size=6)
-        b = train(seqs, None, cfg, hidden_size=6)
+        cfg = TrainConfig(epochs=4)
+        a = train(seqs, None, cfg, hidden_size=6, seed=11)
+        b = train(seqs, None, cfg, hidden_size=6, seed=11)
         assert a.train_loss_history == b.train_loss_history
         np.testing.assert_array_equal(a.model.theta, b.model.theta)
 
@@ -369,7 +367,7 @@ class TestTrain:
         sub = replace(res.train, starts=res.train.starts[:300])
         firsts, lasts = [], []
         for seed in range(5):
-            out = train(sub, None, TrainConfig(epochs=5, seed=seed), hidden_size=8)
+            out = train(sub, None, TrainConfig(epochs=5), hidden_size=8, seed=seed)
             firsts.append(out.train_loss_history[0])
             lasts.append(out.train_loss_history[-1])
         assert np.median(lasts) < np.median(firsts)
@@ -377,30 +375,30 @@ class TestTrain:
     def test_empty_training_set_rejected(self):
         empty = make_sequences(np.arange(3.0), WindowConfig(3, 1))
         with pytest.raises(TrainingError, match="empty training set"):
-            train(empty, None, TrainConfig(epochs=1))
+            train(empty, None, TrainConfig(epochs=1), hidden_size=4)
 
     def test_empty_monitor_set_rejected(self):
         seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
         empty = make_sequences(np.arange(3.0), WindowConfig(3, 1))
         with pytest.raises(TrainingError, match="monitor"):
-            train(seqs, empty, TrainConfig(epochs=5, early_stopping=True, patience=2))
+            train(seqs, empty, TrainConfig(epochs=5, early_stopping=True, patience=2), 4)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_aborts(self):
         # Residuals of order 1e200 overflow the squared loss on the first
         # batch when no scaling shrinks them.
         seqs = make_sequences(np.full(12, 1e200), WindowConfig(3, 1))
-        cfg = TrainConfig(epochs=5, seed=0, scaling="none")
+        cfg = TrainConfig(epochs=5, scaling="none")
         with pytest.raises(TrainingError, match="diverged"):
-            train(seqs, None, cfg, hidden_size=4)
+            train(seqs, None, cfg, hidden_size=4, seed=0)
 
     def test_restores_best_weights(self):
         # With the adversarial monitor above, restored weights must predict
         # what the epoch-1 model predicted, not the last epoch's.
         train_seqs = make_sequences([0.0, 0.0, 0.0, 1.0], WindowConfig(3, 1))
         val_seqs = make_sequences([0.0, 0.0, 0.0, -5.0], WindowConfig(3, 1))
-        cfg = TrainConfig(epochs=50, early_stopping=True, patience=4, seed=0, scaling="none")
-        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4)
+        cfg = TrainConfig(epochs=50, early_stopping=True, patience=4, scaling="none")
+        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4, seed=0)
         restored_val_mse = float(
             np.mean((outcome.model.forward(val_seqs.inputs()) - val_seqs.targets()) ** 2)
         )
@@ -458,7 +456,7 @@ def train_each_both_ways(jobs, cfg, hidden_size):
     many = train_many(jobs, cfg, hidden_size)
     assert len(many) == len(jobs)
     for out, (train_set, val_set, seed) in zip(many, jobs):
-        alone = train(train_set, val_set, replace(cfg, seed=seed), hidden_size)
+        alone = train(train_set, val_set, cfg, hidden_size, seed=seed)
         assert_same_fit(out, alone)
     return many
 
@@ -474,6 +472,22 @@ class TestTrainMany:
         assert (min(sizes), max(sizes)) == (1291, 1304)
         jobs = [(r.train, r.val, 100 + r.fold_index) for r in results]
         train_each_both_ways(jobs, TrainConfig(epochs=2), hidden_size=4)
+
+    def test_each_training_set_is_gathered_once(self, climate, monkeypatch):
+        results = split(
+            climate,
+            SplitSpec(plan=SplitPlan.k_fold(10), mode="clean", window=WindowConfig(10, 3)),
+        )
+        calls = []
+        real_inputs = SequenceSet.inputs
+
+        def counted(self):
+            calls.append(self)
+            return real_inputs(self)
+
+        monkeypatch.setattr(SequenceSet, "inputs", counted)
+        train_many([(r.train, r.val, 0) for r in results], TrainConfig(epochs=1), 2)
+        assert len(calls) == 10
 
     def test_early_stopping_at_different_epochs(self):
         # 37, 52, 67 and 82 training pairs: 2, 2, 3 and 3 batches an epoch,
@@ -514,9 +528,9 @@ class TestTrainMany:
         good = make_sequences(np.sin(np.arange(40.0) / 4.0), w)
         diverging = make_sequences(np.full(12, 1e200), w)
         empty = make_sequences(np.arange(3.0), w)
-        cfg = TrainConfig(epochs=3, seed=1, scaling="none")
+        cfg = TrainConfig(epochs=3, scaling="none")
         with pytest.raises(TrainingError) as alone:
-            train(diverging, None, cfg, hidden_size=4)
+            train(diverging, None, cfg, hidden_size=4, seed=1)
         with pytest.raises(TrainingError) as many:
             train_many([(good, None, 0), (diverging, None, 1), (empty, None, 2)], cfg, 4)
         assert str(many.value) == str(alone.value)
@@ -547,7 +561,7 @@ class TestPredict:
 
     def test_one_prediction_per_pair(self):
         seqs = make_sequences(np.arange(20.0), WindowConfig(4, 2))
-        out = train(seqs, None, TrainConfig(epochs=2, seed=0), hidden_size=4)
+        out = train(seqs, None, TrainConfig(epochs=2), hidden_size=4, seed=0)
         assert predict(out.model, out.scaler, seqs).shape == (len(seqs),)
 
 
@@ -557,7 +571,7 @@ class TestGradientCheck:
         model = LstmModel.initialize(4, rng)
         seqs = make_sequences(rng.normal(size=12), WindowConfig(5, 1))
         batch = replace(seqs, starts=seqs.starts[:3])
-        assert gradient_check(model, batch, epsilon=1e-5) < 1e-4
+        assert gradient_check(model, batch) < 1e-4
 
     def test_zeroed_forget_gate_gradient_detected(self):
         rng = np.random.default_rng(12)
@@ -572,13 +586,13 @@ class TestGradientCheck:
             views["b_f"][...] = 0.0
             return loss, grad
 
-        assert gradient_check(model, batch, epsilon=1e-5, grad_fn=mutated) > 1e-2
+        assert gradient_check(model, batch, grad_fn=mutated) > 1e-2
 
     def test_zero_parameter_model_is_finite(self):
         model = LstmModel(3)
         seqs = make_sequences(np.arange(8.0), WindowConfig(3, 1))
         batch = replace(seqs, starts=seqs.starts[:2])
-        assert math.isfinite(gradient_check(model, batch, epsilon=1e-5))
+        assert math.isfinite(gradient_check(model, batch))
 
     def test_size_preconditions(self):
         rng = np.random.default_rng(0)
@@ -588,24 +602,6 @@ class TestGradientCheck:
         wide = make_sequences(np.arange(20.0), WindowConfig(8, 1))
         with pytest.raises(TrainingError, match="window_size"):
             gradient_check(LstmModel.initialize(4, rng), wide)
-
-
-class TestCheckpoint:
-    def test_loss_history_csv(self, tmp_path):
-        from leakbench.forecaster import write_loss_history
-
-        train_seqs = make_sequences(np.arange(20.0), WindowConfig(3, 1))
-        val_seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
-        outcome = train(train_seqs, val_seqs, TrainConfig(epochs=4, seed=0), hidden_size=4)
-        path = tmp_path / "loss.csv"
-        write_loss_history(outcome, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_mse,val_mse"
-        assert len(lines) == 1 + 4
-        epoch, train_mse, val_mse = lines[1].split(",")
-        assert epoch == "1"
-        assert float(train_mse) == outcome.train_loss_history[0]
-        assert float(val_mse) == outcome.val_loss_history[0]
 
 
 class TestPersistenceBaseline:

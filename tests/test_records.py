@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +46,7 @@ GAIN = GainRecord(
     rmse_leaky=1.434024040616411, gain_percent=0.1789563064526076,
     direction="up", leakage_rank=1,
 )
-TRAIN = TrainConfig(epochs=30, learning_rate=0.01, early_stopping=True, seed=7)
+TRAIN = TrainConfig(epochs=30, learning_rate=0.01, early_stopping=True)
 CONFIG = ExperimentConfig(
     name="records",
     dataset="data/climate.csv",
@@ -104,6 +106,27 @@ def test_omitted_optional_keys_take_field_defaults():
     assert cfg.hidden_size == 64 and cfg.repetitions == 10
 
 
+def test_train_seed_of_an_older_config_is_ignored():
+    # `leakbench run` derives every fold's seed from base_seed; train.seed
+    # was never read, so an old config or report holding it still loads.
+    assert TrainConfig.from_dict({"epochs": 3, "seed": 5}) == TrainConfig(epochs=3)
+
+
+def test_readme_config_example_loads_and_shows_only_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiment config", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    ExperimentConfig.from_dict(example)
+
+    def field_names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(example) <= field_names(ExperimentConfig)
+    assert set(example["train"]) <= field_names(TrainConfig)
+    for plan in example["plans"]:
+        assert set(plan) <= field_names(SplitPlan)
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(LeakbenchError, match="missing required key 'epochs'"):
         TrainConfig.from_dict({"learning_rate": 0.01})
@@ -136,7 +159,9 @@ class TestStrictConfigValues:
         assert type(stats.mean) is float and type(stats.n_runs) is int
 
     def test_null_only_where_the_field_allows_it(self):
-        assert TrainConfig.from_dict({"epochs": 3, "seed": None}).seed is None
+        spec = {"plan": {"kind": "two_way"}, "mode": "leaky",
+                "window": {"window_size": 10, "lag_step": 1}, "seed": None}
+        assert SplitSpec.from_dict(spec).seed is None
         with pytest.raises(LeakbenchError, match="'epochs'"):
             TrainConfig.from_dict({"epochs": None})
 

@@ -38,7 +38,7 @@ def base_config(climate_csv, **overrides) -> ExperimentConfig:
         "lags": (1,),
         "plans": (SplitPlan.two_way(),),
         "modes": ("leaky", "clean"),
-        "train": TrainConfig(epochs=2, seed=None),
+        "train": TrainConfig(epochs=2),
         "model": "persistence",
         "repetitions": 2,
         "base_seed": 42,
@@ -145,11 +145,11 @@ class TestRunExperiment:
     def test_cell_independence(self, climate_csv):
         wide = run_experiment(
             base_config(climate_csv, windows=(5, 7), model="lstm", hidden_size=4,
-                        train=TrainConfig(epochs=2, seed=None))
+                        train=TrainConfig(epochs=2))
         )
         narrow = run_experiment(
             base_config(climate_csv, windows=(7,), model="lstm", hidden_size=4,
-                        train=TrainConfig(epochs=2, seed=None))
+                        train=TrainConfig(epochs=2))
         )
         wide_cells = {(c.window, c.lag, c.plan, c.mode): c for c in wide.cells}
         for cell in narrow.cells:
@@ -216,6 +216,18 @@ class TestRunExperiment:
         with pytest.raises(SplitError, match="W=7.*BrokenProcessPool"):
             run_experiment(cfg, workers=2)
 
+    def test_workers_below_one_rejected(self, climate_csv):
+        for workers in (0, -2):
+            with pytest.raises(LeakbenchError, match="workers must be >= 1"):
+                run_experiment(base_config(climate_csv), workers=workers)
+
+    def test_provenance_config_has_no_train_seed(self, climate_csv):
+        report = run_experiment(base_config(climate_csv))
+        assert report.provenance["config"]["train"] == {
+            "epochs": 2, "learning_rate": 0.001, "batch_size": 32,
+            "early_stopping": False, "patience": 10, "scaling": "zscore",
+        }
+
     def test_provenance_records_the_environment(self, climate_csv, tmp_path):
         report = run_experiment(base_config(climate_csv), workers=1)
         env = report.provenance["environment"]
@@ -231,7 +243,7 @@ class TestRunExperiment:
     def test_null_seed_is_drawn_recorded_and_replayable(self, climate_csv, tmp_path):
         cfg = base_config(
             climate_csv, model="lstm", hidden_size=4,
-            train=TrainConfig(epochs=2, seed=None), base_seed=None,
+            train=TrainConfig(epochs=2), base_seed=None,
         )
         first = run_experiment(cfg)
         seed = first.provenance["config"]["base_seed"]
@@ -282,7 +294,7 @@ class TestRunExperiment:
     def test_lstm_runs_report_epochs(self, climate_csv):
         cfg = base_config(
             climate_csv, model="lstm", hidden_size=4,
-            train=TrainConfig(epochs=3, seed=None), repetitions=1,
+            train=TrainConfig(epochs=3), repetitions=1,
         )
         report = run_experiment(cfg)
         for cell in report.cells:
