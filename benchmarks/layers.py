@@ -9,11 +9,13 @@ Each `--src LABEL=DIR` is a leakbench source tree, timed in a worker
 process of its own. The rounds interleave: in every round each worker times
 each layer once (a loop of `--loops` calls), and the tree that goes first
 alternates from round to round, so a drift in the speed of a shared machine
-hits every tree and layer alike. At M = 10, forward is `_forward_cached` on
-the stack (what `train_many` calls for validation losses). Each layer is
-timed the way a run calls it: `forward.m1` (what `predict` calls) as a bare
-call, the others inside `train_many`'s scratch scope (`_scratch_kept`)
-where a tree has one. The output holds, per tree and layer, the median and
+hits every tree and layer alike. At M = 10, forward is what `train_many`
+calls for validation losses: the forward-only `_forward(theta, x, H, False)`
+on the stack, which keeps 2 time slots instead of W+1, or `_forward_cached`,
+which builds the full BPTT caches, in a tree that has no forward-only pass.
+Each layer is timed the way a run calls it: `forward.m1` (what `predict`
+calls) as a bare call, the others inside `train_many`'s scratch scope
+(`_scratch_kept`) where a tree has one. The output holds, per tree and layer, the median and
 quartiles over the rounds of the time per call in microseconds, with the
 core count and load averages. The parent process needs only the standard
 library; the workers need numpy.
@@ -44,6 +46,12 @@ def _worker(src: str, loops: int) -> None:
     from leakbench import forecaster as fc
 
     in_training = getattr(fc, "_scratch_kept", contextlib.nullcontext)
+    if hasattr(fc, "_forward"):
+        def validation_forward(theta, x):
+            return fc._forward(theta, x, HIDDEN, False)
+    else:
+        def validation_forward(theta, x):
+            return fc._forward_cached(theta, x, HIDDEN)
 
     rng = np.random.default_rng(0)
     cases = {}
@@ -55,7 +63,7 @@ def _worker(src: str, loops: int) -> None:
         adam = fc._Adam(theta.shape, 1e-3)
         model = fc.LstmModel(HIDDEN, theta[0].copy())
         forward = (lambda: model.forward(x[0])) if m == 1 else (
-            lambda theta=theta, x=x: fc._forward_cached(theta, x, HIDDEN))
+            lambda theta=theta, x=x: validation_forward(theta, x))
         cases[f"forward.m{m}"] = forward
         cases[f"loss_and_gradients.m{m}"] = (
             lambda theta=theta, x=x, y=y: fc.loss_and_gradients(theta, x, y, HIDDEN))

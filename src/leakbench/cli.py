@@ -18,6 +18,7 @@ from .errors import ContaminationError, LeakbenchError
 from .runner import (
     ExperimentConfig,
     _csv_text,
+    cell_key,
     emit_plot_data,
     emit_report,
     gains_csv,
@@ -134,6 +135,18 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _emit(out: str | None, name: str, body: str) -> None:
+    """Write `body` to `name` under the directory `out` and print its path,
+    or print `body` itself when there is no `out`."""
+    if out:
+        path = Path(out) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body, encoding="utf-8")
+        print(path)
+    else:
+        print(body, end="")
+
+
 def _cmd_audit(args) -> int:
     """Audit the split of each cell's first repetition: the split whose
     audits `run` stores in its report."""
@@ -141,27 +154,20 @@ def _cmd_audit(args) -> int:
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     rows = []
     contaminated_clean = False
-    for cell, specs in grid_splits(cfg):
+    for specs in grid_splits(cfg):
         for res in split(series, specs[0]):
             rep = audit(res)
-            if cell.mode == "clean" and rep.is_contaminated:
+            if specs[0].mode == "clean" and rep.is_contaminated:
                 contaminated_clean = True
             rows.append((
-                cell.window, cell.lag, cell.plan.label, cell.mode, res.fold_index,
+                *cell_key(specs[0]), res.fold_index,
                 len(res.train), len(res.test),
                 rep.overlap_count, rep.contaminated_test_pairs,
             ))
-    body = _csv_text(
+    _emit(args.out, "audits.csv", _csv_text(
         "window,lag,plan,mode,fold,train_pairs,test_pairs,overlap,contaminated_test_pairs",
         rows,
-    )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "audits.csv").write_text(body, encoding="utf-8")
-        print(out / "audits.csv")
-    else:
-        print(body, end="")
+    ))
     if contaminated_clean:
         print("error: clean cell audited contaminated", file=sys.stderr)
         return EXIT_CONTAMINATED
@@ -169,15 +175,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gain(args) -> int:
-    records = recompute_gains(args.clean_csv, args.leaky_csv)
-    body = gains_csv(records)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "gains.csv").write_text(body, encoding="utf-8")
-        print(out / "gains.csv")
-    else:
-        print(body, end="")
+    _emit(args.out, "gains.csv", gains_csv(recompute_gains(args.clean_csv, args.leaky_csv)))
     return EXIT_OK
 
 

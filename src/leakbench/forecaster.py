@@ -106,7 +106,7 @@ class LstmModel:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Predict a scalar per row of a (batch, W) input matrix."""
         x = np.atleast_2d(np.asarray(inputs, float))
-        y, _ = _forward_cached(self.theta[None], x[None], self.hidden_size)
+        y, _ = _forward(self.theta[None], x[None], self.hidden_size, False)
         if not np.all(np.isfinite(y)):
             raise TrainingError("non-finite value in forward pass")
         return y[0]
@@ -180,31 +180,37 @@ def _scratch_kept():
         _scratch.buffers = outer
 
 
-def _forward_cached(theta: np.ndarray, x: np.ndarray, hidden_size: int):
-    """Forward pass of M models at once, keeping per-step activations for
-    BPTT: `theta` (M, P) and `x` (M, B, W) give predictions (M, B). Every
-    product is a stacked matmul, which makes the same GEMM call per model
-    as a 2-D `@` on that model alone, so a model's numbers do not depend on
-    which others share the call.
+def _forward(theta: np.ndarray, x: np.ndarray, hidden_size: int, bptt: bool):
+    """Forward pass of M models at once: `theta` (M, P) and `x` (M, B, W)
+    give predictions (M, B). Every product is a stacked matmul, which makes
+    the same GEMM call per model as a 2-D `@` on that model alone, so a
+    model's numbers do not depend on which others share the call.
 
-    Step t multiplies z_t = [1, x_t, h_{t-1}] (M, B, 2+H) by the gate
-    matrix with the bias as its first row, so the bias add is inside the
-    GEMM. Its activations are stored gate-major, (4, M, B, H) with blocks
-    (i, f, o, g), so every elementwise op works on contiguous blocks, and
-    one tanh call covers all four gates: sigmoid(a) = 0.5 + 0.5 tanh(a/2),
-    with the halving folded into the i/f/o rows of that matrix (exact, a
-    power of two). The caches are z (M, W+1, B, 2+H), the activations
-    (W, 4, M, B, H) and the cell states (W+1, M, B, H) with c_0 = 0, plus
-    the (M, B, 4H) pre-activation buffer, free for the backward pass to
-    reuse; all are scratch arrays that a later call may overwrite."""
+    Step t writes x_t into z_t = [1, x_t, h_{t-1}] (M, B, 2+H) and
+    multiplies it by the gate matrix with the bias as its first row, so the
+    bias add is inside the GEMM. Its activations are stored gate-major,
+    (4, M, B, H) with blocks (i, f, o, g), so every elementwise op works on
+    contiguous blocks, and one tanh call covers all four gates:
+    sigmoid(a) = 0.5 + 0.5 tanh(a/2), with the halving folded into the
+    i/f/o rows of that matrix (exact, a power of two).
+
+    z, the activations and the cell states (c_0 = 0) live in time slots.
+    With `bptt` each step keeps its own, W+1 / W / W+1 of them, as caches
+    for the backward pass: z (M, W+1, B, 2+H), activations (W, 4, M, B, H)
+    and cell states (W+1, M, B, H). Without it a forward-only pass uses 2 /
+    1 / 2 slots in turn, so its scratch does not grow with W. The caches
+    come back with the (M, B, 4H) pre-activation buffer, free for the
+    backward pass to reuse; all are scratch arrays that a later call may
+    overwrite."""
     models, batch, steps = x.shape
     hs = hidden_size
+    slots = steps + 1 if bptt else 2
     w, b, w_out, b_out = _blocks(theta, hs)
     z, act, c, tc, pre = _scratch_arrays(
         "forward",
-        (models, steps + 1, batch, 2 + hs),
-        (steps, 4, models, batch, hs),
-        (steps + 1, models, batch, hs),
+        (models, slots, batch, 2 + hs),
+        (slots - 1, 4, models, batch, hs),
+        (slots, models, batch, hs),
         (models, batch, hs),
         (models, batch, 4 * hs),
     )
@@ -213,23 +219,25 @@ def _forward_cached(theta: np.ndarray, x: np.ndarray, hidden_size: int):
     w_aug[:, 0] = b * half
     np.multiply(w.transpose(0, 2, 1), half, out=w_aug[:, 1:])
     z[..., 0] = 1.0
-    z[:, :steps, :, 1] = x.transpose(0, 2, 1)
     z[:, 0, :, 2:] = 0.0
     c[0] = 0.0
     pre_gm = pre.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
+    z_x, x_t = z[..., 1], x.transpose(2, 0, 1)
     for t in range(steps):
-        np.matmul(z[:, t], w_aug, out=pre)
-        np.tanh(pre_gm, out=act[t])
-        sig = act[t, :3]
+        now, later, gates = t % slots, (t + 1) % slots, act[t % (slots - 1)]
+        z_x[:, now] = x_t[t]
+        np.matmul(z[:, now], w_aug, out=pre)
+        np.tanh(pre_gm, out=gates)
+        sig = gates[:3]
         sig *= 0.5
         sig += 0.5
-        i, f, o, g = act[t]
-        np.multiply(f, c[t], out=c[t + 1])
+        i, f, o, g = gates
+        np.multiply(f, c[now], out=c[later])
         np.multiply(i, g, out=tc)
-        c[t + 1] += tc
-        np.tanh(c[t + 1], out=tc)
-        np.multiply(o, tc, out=z[:, t + 1, :, 2:])
-    h = z[:, steps, :, 2:]
+        c[later] += tc
+        np.tanh(c[later], out=tc)
+        np.multiply(o, tc, out=z[:, later, :, 2:])
+    h = z[:, steps % slots, :, 2:]
     y = (h @ w_out[:, :, None])[..., 0] + b_out
     return y, ((z, act, c, pre), h)
 
@@ -249,7 +257,7 @@ def loss_and_gradients(
     scratch is no larger than the cache of the plain per-step kernel."""
     models, batch, steps = x.shape
     hs = hidden_size
-    y, ((z, act, c, rows), h_last) = _forward_cached(theta, x, hs)
+    y, ((z, act, c, rows), h_last) = _forward(theta, x, hs, True)
     resid = y - targets
     loss = np.mean(resid**2, axis=1)
 
@@ -555,8 +563,8 @@ def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[
             monitors[r] = live[r].train_hist[-1]
         val_sizes = {r: live[r].x_val.shape[0] for r in running if live[r].x_val is not None}
         for rows, _ in _groups(val_sizes):
-            preds, _ = _forward_cached(
-                theta[rows], np.stack([live[r].x_val for r in rows]), hidden_size
+            preds, _ = _forward(
+                theta[rows], np.stack([live[r].x_val for r in rows]), hidden_size, False
             )
             val_mses = np.mean((preds - np.stack([live[r].y_val for r in rows])) ** 2, axis=1)
             for r, val_mse in zip(rows.tolist(), val_mses.tolist()):
@@ -617,9 +625,9 @@ def gradient_check(model: LstmModel, batch: SequenceSet, grad_fn: GradFn | None 
     for idx in range(theta.size):
         orig = theta[idx]
         theta[idx] = orig + epsilon
-        up, _ = _forward_cached(theta[None], x, h)
+        up, _ = _forward(theta[None], x, h, False)
         theta[idx] = orig - epsilon
-        down, _ = _forward_cached(theta[None], x, h)
+        down, _ = _forward(theta[None], x, h, False)
         theta[idx] = orig
         numeric = (np.mean((up - y) ** 2) - np.mean((down - y) ** 2)) / (2 * epsilon)
         analytic = grad[0, idx]

@@ -107,24 +107,17 @@ class ExperimentConfig(Record):
             object.__setattr__(self, label, tuple(int(v) for v in values))
         object.__setattr__(self, "plans", tuple(self.plans))
         object.__setattr__(self, "modes", tuple(self.modes))
+        # A cell's key is (window, lag, plan label, mode), so a repeated
+        # entry would make two cells that share one key and one seed.
+        for label, keys in (("windows", self.windows), ("lags", self.lags),
+                            ("plans", [p.label for p in self.plans]), ("modes", self.modes)):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise LeakbenchError(f"grid list '{label}' repeats {key!r}")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(_read_json(Path(path), "no such config file"))
-
-
-@dataclass(frozen=True, eq=False)
-class Cell:
-    """One grid coordinate."""
-
-    window: int
-    lag: int
-    plan: SplitPlan
-    mode: str
-
-    @property
-    def key(self) -> tuple:
-        return (self.window, self.lag, self.plan.label, self.mode)
 
 
 @dataclass(frozen=True)
@@ -164,112 +157,86 @@ def derive_seed(base_seed: int | None, *parts) -> int | None:
     return (int(base_seed) ^ int.from_bytes(digest[:8], "big")) & ((1 << 63) - 1)
 
 
-def grid_splits(cfg: ExperimentConfig) -> list[tuple[Cell, tuple[SplitSpec, ...]]]:
-    """Every cell of the grid in run order, with the SplitSpec of each of its
+def cell_key(spec: SplitSpec) -> tuple[int, int, str, str]:
+    """The coordinates of the cell a SplitSpec belongs to: (window, lag,
+    plan label, mode)."""
+    return (spec.window.window_size, spec.window.lag_step, spec.plan.label, spec.mode)
+
+
+def grid_splits(cfg: ExperimentConfig) -> list[tuple[SplitSpec, ...]]:
+    """Every cell of the grid in run order, as the SplitSpec of each of its
     repetitions. `run` trains on these splits and `audit` audits them."""
     cells = [
-        Cell(window=w, lag=l, plan=p, mode=m)
+        SplitSpec(plan=p, mode=m, window=WindowConfig(w, l), order=cfg.order)
         for w in cfg.windows
         for l in cfg.lags
         for p in cfg.plans
         for m in cfg.modes
     ]
     return [
-        (
-            cell,
-            tuple(
-                SplitSpec(
-                    plan=cell.plan,
-                    mode=cell.mode,
-                    window=WindowConfig(cell.window, cell.lag),
-                    order=cfg.order,
-                    seed=derive_seed(cfg.base_seed, *cell.key, rep, "split"),
-                )
-                for rep in range(cfg.repetitions)
-            ),
+        tuple(
+            replace(cell, seed=derive_seed(cfg.base_seed, *cell_key(cell), rep, "split"))
+            for rep in range(cfg.repetitions)
         )
         for cell in cells
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class _RunOutcome:
-    rmse: float
-    optimal_epoch: float | None
-    last_epoch: float | None
-    max_overlap: int
-    audits: tuple[AuditReport, ...]
-
-
-def _evaluate_folds(
+def _score_folds(
     cfg: ExperimentConfig, results: list[SplitResult], train_seeds: list[int | None]
-) -> list[tuple[float, float | None, float | None]]:
-    """Fit and score every fold: (test RMSE, optimal epoch, last epoch) per
-    fold. The LSTMs of all folds train together in one `train_many` call."""
+) -> tuple[list[float], list[tuple[int, int]] | None]:
+    """Fit and score every fold: the test RMSE of each fold and, for the
+    LSTM, each fold's (optimal, last) epoch (None for the baselines). The
+    LSTMs of all folds train together in one `train_many` call."""
     if cfg.model == "persistence":
         return [
-            (rmse(baseline_persistence(res.test), res.test.targets()), None, None)
-            for res in results
-        ]
+            rmse(baseline_persistence(res.test), res.test.targets()) for res in results
+        ], None
     if cfg.model == "linear_ar":
         return [
-            (rmse(baseline_linear_ar(res.train, res.test), res.test.targets()), None, None)
-            for res in results
-        ]
+            rmse(baseline_linear_ar(res.train, res.test), res.test.targets()) for res in results
+        ], None
     jobs = [(res.train, res.val, seed) for res, seed in zip(results, train_seeds)]
     outcomes = train_many(jobs, cfg.train, hidden_size=cfg.hidden_size)
-    return [
-        (
-            rmse(predict(out.model, out.scaler, res.test), res.test.targets()),
-            float(out.optimal_epoch),
-            float(out.last_epoch),
-        )
+    rmses = [
+        rmse(predict(out.model, out.scaler, res.test), res.test.targets())
         for res, out in zip(results, outcomes)
     ]
+    return rmses, [(out.optimal_epoch, out.last_epoch) for out in outcomes]
 
 
 def _run_once(
-    series: TimeSeries, cfg: ExperimentConfig, cell: Cell, rep: int, spec: SplitSpec
-) -> _RunOutcome:
+    series: TimeSeries, cfg: ExperimentConfig, rep: int, spec: SplitSpec
+) -> tuple[float, tuple[float, float] | None, tuple[AuditReport, ...]]:
+    """One repetition of one cell: its mean fold RMSE, its mean (optimal,
+    last) epoch (None for the baselines) and the audit of every fold."""
+    window, lag, plan, mode = key = cell_key(spec)
     results = split(series, spec)
-    audits = []
-    for res in results:
-        report = audit(res)
-        audits.append(report)
-        if cell.mode == "clean" and report.is_contaminated:
+    audits = tuple(audit(res) for res in results)
+    for res, report in zip(results, audits):
+        if mode == "clean" and report.is_contaminated:
             raise ContaminationError(
-                f"clean cell audited contaminated: W={cell.window} L={cell.lag} "
-                f"plan={cell.plan.label} fold={res.fold_index} "
+                f"clean cell audited contaminated: W={window} L={lag} "
+                f"plan={plan} fold={res.fold_index} "
                 f"overlap={report.overlap_count}"
             )
     train_seeds = [
-        derive_seed(cfg.base_seed, *cell.key, rep, res.fold_index, "train") for res in results
+        derive_seed(cfg.base_seed, *key, rep, res.fold_index, "train") for res in results
     ]
-    folds = _evaluate_folds(cfg, results, train_seeds)
-    fold_rmses = [fold_rmse for fold_rmse, _, _ in folds]
-    optimal_epochs = [opt for _, opt, _ in folds if opt is not None]
-    last_epochs = [last for _, _, last in folds if last is not None]
-    return _RunOutcome(
-        rmse=float(np.mean(fold_rmses)),
-        optimal_epoch=float(np.mean(optimal_epochs)) if optimal_epochs else None,
-        last_epoch=float(np.mean(last_epochs)) if last_epochs else None,
-        max_overlap=max(a.overlap_count for a in audits),
-        audits=tuple(audits),
-    )
+    rmses, epochs = _score_folds(cfg, results, train_seeds)
+    mean_epochs = None if epochs is None else tuple(np.mean(epochs, axis=0).tolist())
+    return float(np.mean(rmses)), mean_epochs, audits
 
 
-def _execute_task(
-    series: TimeSeries, cfg: ExperimentConfig, task: tuple[Cell, int, SplitSpec]
-) -> tuple[Cell, int, "_RunOutcome | Exception"]:
-    """One (cell, repetition) unit of work; module-level so worker
+def _execute_task(series: TimeSeries, cfg: ExperimentConfig, task: tuple[int, SplitSpec]):
+    """One (repetition, SplitSpec) unit of work; module-level so worker
     processes can pickle it. Errors of any kind come back as values and are
     re-raised (or recorded) by the parent, so one failing task cannot lose
     the rest of the grid."""
-    cell, rep, spec = task
     try:
-        return cell, rep, _run_once(series, cfg, cell, rep, spec)
+        return _run_once(series, cfg, *task)
     except Exception as exc:
-        return cell, rep, exc
+        return exc
 
 
 def environment(workers: int) -> dict:
@@ -313,8 +280,7 @@ def run_experiment(
         cfg = replace(cfg, base_seed=secrets.randbits(63))
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     grid = grid_splits(cfg)
-    cells = [cell for cell, _ in grid]
-    tasks = [(cell, rep, spec) for cell, specs in grid for rep, spec in enumerate(specs)]
+    tasks = [(rep, spec) for specs in grid for rep, spec in enumerate(specs)]
 
     execute = partial(_execute_task, series, cfg)
     if workers > 1:
@@ -325,35 +291,33 @@ def run_experiment(
         completed = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(execute, task) for task in tasks]
-            for (cell, rep, _), future in zip(tasks, futures):
+            for future in futures:
                 try:
                     completed.append(future.result())
                 except BrokenProcessPool as exc:
                     # A worker died (a signal, out of memory): the tasks it
                     # took down and those not yet started fail like any
                     # other task.
-                    completed.append((cell, rep, exc))
+                    completed.append(exc)
     else:
         completed = [execute(t) for t in tasks]
 
-    # Tasks come back in task order, so each cell's repetitions are
+    # Results come back in task order, so each cell's repetitions are
     # consecutive and ordered by rep.
     errors: list[str] = []
     cell_results = []
     reps = cfg.repetitions
-    for i, cell in enumerate(cells):
+    for i, specs in enumerate(grid):
+        window, lag, plan, mode = cell_key(specs[0])
         runs = []
-        for _, rep, outcome in completed[i * reps:(i + 1) * reps]:
+        for rep, outcome in enumerate(completed[i * reps:(i + 1) * reps]):
             if isinstance(outcome, ContaminationError):
                 raise outcome
             if isinstance(outcome, Exception):
                 detail = outcome if isinstance(outcome, LeakbenchError) else (
                     f"{type(outcome).__name__}: {outcome}"
                 )
-                msg = (
-                    f"cell W={cell.window} L={cell.lag} plan={cell.plan.label} "
-                    f"mode={cell.mode} rep={rep}: {detail}"
-                )
+                msg = f"cell W={window} L={lag} plan={plan} mode={mode} rep={rep}: {detail}"
                 if not keep_going:
                     raise SplitError(msg) from outcome
                 errors.append(msg)
@@ -361,20 +325,17 @@ def run_experiment(
                 runs.append(outcome)
         if len(runs) < reps:
             continue
-        rmses = [r.rmse for r in runs]
-        optimal = [r.optimal_epoch for r in runs if r.optimal_epoch is not None]
-        last = [r.last_epoch for r in runs if r.last_epoch is not None]
-        stats = aggregate(rmses, optimal_epochs=optimal or None, last_epochs=last or None)
+        rmses, epochs, audits = zip(*runs)
         cell_results.append(
             CellResult(
-                window=cell.window,
-                lag=cell.lag,
-                plan=cell.plan.label,
-                mode=cell.mode,
-                stats=stats,
-                run_rmses=tuple(rmses),
-                max_overlap=max(r.max_overlap for r in runs),
-                audits=runs[0].audits,
+                window=window,
+                lag=lag,
+                plan=plan,
+                mode=mode,
+                stats=aggregate(rmses) if epochs[0] is None else aggregate(rmses, *zip(*epochs)),
+                run_rmses=rmses,
+                max_overlap=max(a.overlap_count for run in audits for a in run),
+                audits=audits[0],
             )
         )
     cell_results.sort(key=lambda c: (c.window, c.lag, plan_sort_key(c.plan), c.mode))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -102,6 +103,16 @@ class TestRun:
         cfg = write_config(tmp_path, climate_csv, windows=[2000])
         assert main(["run", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_repeated_plan_label_is_data_error(self, tmp_path, climate_csv, capsys):
+        cfg = write_config(
+            tmp_path, climate_csv, model="linear_ar", windows=[10],
+            plans=[{"kind": "two_way"}, {"kind": "two_way", "fractions": [0.6, 0.4]}],
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        assert "grid list 'plans' repeats '2-way'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -146,6 +157,25 @@ class TestAudit:
             else:
                 assert int(fields[7]) > 0
 
+    def test_contaminated_clean_cell_exits_3_after_every_row(
+        self, tmp_path, climate_csv, capsys, monkeypatch
+    ):
+        import leakbench.cli as cli_mod
+        from leakbench.splitting import split as real_split
+
+        def poisoned_split(series, spec):
+            return real_split(series, replace(spec, mode="leaky"))
+
+        monkeypatch.setattr(cli_mod, "split", poisoned_split)
+        cfg = write_config(tmp_path, climate_csv)
+        assert main(["audit", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: clean cell audited contaminated\n"
+        rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+        # 2 plans x 2 modes: two_way has 1 fold each, k_fold(4) has 4 each
+        assert len(rows) == (1 + 4) * 2
+        assert {row[3] for row in rows} == {"leaky", "clean"}
+        assert all(int(row[7]) > 0 for row in rows)
 
     def test_audits_the_splits_run_trains_on(self, tmp_path, climate_csv, capsys):
         # Random order gives every repetition its own split; the audit must

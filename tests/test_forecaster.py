@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakbench import forecaster
 from leakbench.errors import TrainingError
 from leakbench.forecaster import (
     LstmModel,
     _Adam,
-    _forward_cached,
+    _forward,
+    _scratch_kept,
     Scaler,
     TrainConfig,
     baseline_linear_ar,
@@ -272,8 +274,16 @@ class TestKernelOracle:
             assert np.array_equal(loss[m], alone_loss[0])
             assert np.array_equal(grad[m], alone_grad[0])
             assert np.array_equal(
-                LstmModel(h, theta[m]).forward(x[m]), _forward_cached(theta, x, h)[0][m]
+                LstmModel(h, theta[m]).forward(x[m]), _forward(theta, x, h, False)[0][m]
             )
+
+    @pytest.mark.parametrize("models", [1, 5])
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    def test_forward_only_equals_the_bptt_forward(self, models, steps):
+        theta, x, _ = random_stack(models * 10 + steps, models, 7, steps, 4)
+        bptt, _ = _forward(theta, x, 4, True)
+        bptt = bptt.copy()  # both calls may share one scratch buffer
+        assert np.array_equal(_forward(theta, x, 4, False)[0], bptt)
 
 
 class TestScaler:
@@ -517,6 +527,23 @@ class TestTrainMany:
         cfg = TrainConfig(epochs=3, early_stopping=True, patience=2)
         many = train_each_both_ways(jobs, cfg, hidden_size=4)
         assert all(len(out.val_loss_history) == out.last_epoch for out in many)
+
+    def test_validation_keeps_no_more_forward_scratch_than_training(self, climate):
+        # desk 3-way clean cell (W=10, L=1): 1013 training, 136 validation pairs
+        (res,) = split(climate, SplitSpec(
+            plan=SplitPlan.three_way(), mode="clean", window=WindowConfig(10, 1)
+        ))
+        assert (len(res.train), len(res.val)) == (1013, 136)
+        cfg = TrainConfig(epochs=1)
+        with _scratch_kept():
+            theta = LstmModel.initialize(16, np.random.default_rng(0)).theta[None]
+            loss_and_gradients(theta, np.zeros((1, cfg.batch_size, 10)),
+                               np.zeros((1, cfg.batch_size)), 16)
+            training = forecaster._scratch.buffers["forward"].size
+        with _scratch_kept():
+            train_many([(res.train, res.val, 0)], cfg, 16)
+            kept = forecaster._scratch.buffers["forward"].size
+        assert kept <= training
 
     def test_single_job(self):
         seqs = make_sequences(np.sin(np.arange(60.0) / 5.0), WindowConfig(5, 1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +81,20 @@ class TestExperimentConfig:
         # Before, windows=(10.7,) was truncated to (10,) and lags=(True,) became (1,).
         with pytest.raises(LeakbenchError, match=f"'{field}'"):
             base_config(climate_csv, **{field: (5, value)})
+
+    @pytest.mark.parametrize("field, entries, repeated", [
+        ("windows", (5, 7, 5), "5"),
+        ("lags", (1, 1), "1"),
+        ("plans", (SplitPlan.two_way(), SplitPlan.two_way(0.6)), "'2-way'"),
+        ("plans", (SplitPlan.k_fold(4), SplitPlan.two_way(), SplitPlan.k_fold(4)), "'4-fold'"),
+        ("modes", ("leaky", "clean", "leaky"), "'leaky'"),
+    ])
+    def test_repeated_grid_entry_rejected(self, climate_csv, field, entries, repeated):
+        # Two cells with one (window, lag, plan label, mode) key: before,
+        # they ran on the same seeds, gave two indistinguishable cells.csv
+        # rows, and gains.csv kept only the last one's gain.
+        with pytest.raises(LeakbenchError, match=re.escape(f"'{field}' repeats {repeated}")):
+            base_config(climate_csv, **{field: entries})
 
     def test_integral_grid_entries_stored_as_int(self, climate_csv):
         cfg = base_config(climate_csv, windows=(np.int64(5),), lags=(np.int32(2),))
@@ -170,14 +185,14 @@ class TestRunExperiment:
     def test_keep_going_isolates_any_task_exception(self, climate_csv, monkeypatch):
         import leakbench.runner as runner_mod
 
-        real_evaluate = runner_mod._evaluate_folds
+        real_score = runner_mod._score_folds
 
         def failing_for_w7(cfg, results, train_seeds):
             if results[0].test.config.window_size == 7:
                 raise ValueError("numpy trouble")
-            return real_evaluate(cfg, results, train_seeds)
+            return real_score(cfg, results, train_seeds)
 
-        monkeypatch.setattr(runner_mod, "_evaluate_folds", failing_for_w7)
+        monkeypatch.setattr(runner_mod, "_score_folds", failing_for_w7)
         cfg = base_config(climate_csv, windows=(5, 7))
         report = run_experiment(cfg, keep_going=True)
         assert {c.window for c in report.cells} == {5}
@@ -197,11 +212,11 @@ class TestRunExperiment:
 
         real_run_once = runner_mod._run_once
 
-        def killed_on_w7(series, cfg, cell, rep, spec):
-            if cell.window == 7:
+        def killed_on_w7(series, cfg, rep, spec):
+            if spec.window.window_size == 7:
                 time.sleep(0.5)  # the W=5 results come back first
                 os._exit(1)
-            return real_run_once(series, cfg, cell, rep, spec)
+            return real_run_once(series, cfg, rep, spec)
 
         # Forked workers inherit the patched _run_once.
         fork = multiprocessing.get_context("fork")
