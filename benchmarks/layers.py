@@ -5,55 +5,60 @@ models (H 16, B 32, W 10, the kfold-lstm shape), printed as one JSON object.
     python3 benchmarks/layers.py --src parent=OTHER/src --src change=src \\
         --rounds 15 --loops 20
 
-Each `--src LABEL=DIR` is a leakbench source tree, timed in a worker
-process of its own. The rounds interleave: in every round each worker times
-each layer once (a loop of `--loops` calls), and the tree that goes first
-alternates from round to round, so a drift in the speed of a shared machine
-hits every tree and layer alike. At M = 10, forward is what `train_many`
-calls for validation losses: the forward-only `_forward(theta, x, H, False)`
-on the stack, which keeps 2 time slots instead of W+1, or `_forward_cached`,
-which builds the full BPTT caches, in a tree that has no forward-only pass.
-Each layer is timed the way a run calls it: `forward.m1` (what `predict`
-calls) as a bare call, the others inside `train_many`'s scratch scope
-(`_scratch_kept`) where a tree has one. The output holds, per tree and layer, the median and
-quartiles over the rounds of the time per call in microseconds, with the
-core count and load averages. The parent process needs only the standard
-library; the workers need numpy.
+Each `--src LABEL=DIR` is a leakbench source tree. All trees are timed in
+one process: each tree's `leakbench` is imported under a package name of its
+own, so no tree pays a per-process offset (allocator state, page placement)
+that another does not. The rounds interleave: in every round each layer is
+timed once in each tree (a loop of `--loops` calls), one tree right after
+the other, and the tree that goes first alternates from round to round, so
+a drift in the speed of a shared machine hits every tree alike. Every tree
+gets the same inputs. At M = 10, forward is what `train_many` calls for
+validation losses: the forward-only `_forward(theta, x, H, False)` on the
+stack. Each layer is timed the way a run calls it: `forward.m1` (what
+`predict` calls) as a bare call, the others inside `_scratch_kept` in a
+tree that has it (older trees keep the kernel's scratch only inside that
+scope, which `train_many` enters; the lookup can go once no tree compared
+has it). The output holds, per tree and layer, the median and quartiles
+over the rounds of the time per call in microseconds, with the core count
+and load averages.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import importlib.util
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 HIDDEN, BATCH, WINDOW = 16, 32, 10
 STACKS = (1, 10)
 
 
-def _worker(src: str, loops: int) -> None:
-    """Answer each line on stdin with one JSON line: seconds per call of
-    every layer, timed once."""
-    sys.path.insert(0, src)
-    import contextlib
+def _import_forecaster(package: str, src: str):
+    """The `forecaster` module of the leakbench tree under `src`, imported
+    as the package `package`."""
+    root = Path(src).resolve() / "leakbench"
+    spec = importlib.util.spec_from_file_location(
+        package, root / "__init__.py", submodule_search_locations=[str(root)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{package}.forecaster")
 
-    import numpy as np
 
-    from leakbench import forecaster as fc
-
-    in_training = getattr(fc, "_scratch_kept", contextlib.nullcontext)
-    if hasattr(fc, "_forward"):
-        def validation_forward(theta, x):
-            return fc._forward(theta, x, HIDDEN, False)
-    else:
-        def validation_forward(theta, x):
-            return fc._forward_cached(theta, x, HIDDEN)
-
+def _cases(fc) -> dict:
+    """Each layer of forecaster module `fc` as a zero-argument call, with
+    the inputs every tree shares."""
     rng = np.random.default_rng(0)
+    in_training = getattr(fc, "_scratch_kept", contextlib.nullcontext)
     cases = {}
     for m in STACKS:
         theta = np.stack([fc.LstmModel.initialize(HIDDEN, rng).theta for _ in range(m)])
@@ -63,7 +68,7 @@ def _worker(src: str, loops: int) -> None:
         adam = fc._Adam(theta.shape, 1e-3)
         model = fc.LstmModel(HIDDEN, theta[0].copy())
         forward = (lambda: model.forward(x[0])) if m == 1 else (
-            lambda theta=theta, x=x: validation_forward(theta, x))
+            lambda theta=theta, x=x: fc._forward(theta, x, HIDDEN, False))
         cases[f"forward.m{m}"] = forward
         cases[f"loss_and_gradients.m{m}"] = (
             lambda theta=theta, x=x, y=y: fc.loss_and_gradients(theta, x, y, HIDDEN))
@@ -71,17 +76,19 @@ def _worker(src: str, loops: int) -> None:
         stepped = theta.copy()
         cases[f"adam_step.m{m}"] = (
             lambda adam=adam, stepped=stepped, grad=grad: adam.step(stepped, grad, slice(None)))
-    for case in cases.values():
-        case()
-    for _ in sys.stdin:
-        times = {}
-        for name, case in cases.items():
-            with contextlib.nullcontext() if name == "forward.m1" else in_training():
-                start = time.perf_counter()
-                for _ in range(loops):
-                    case()
-                times[name] = (time.perf_counter() - start) / loops
-        print(json.dumps(times), flush=True)
+    return {
+        name: (case, contextlib.nullcontext if name == "forward.m1" else in_training)
+        for name, case in cases.items()
+    }
+
+
+def _time(case, scope, loops: int) -> float:
+    """Seconds per call of one layer, timed once."""
+    with scope():
+        start = time.perf_counter()
+        for _ in range(loops):
+            case()
+        return (time.perf_counter() - start) / loops
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -95,34 +102,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="LABEL=DIR of a leakbench source tree (repeatable)")
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--loops", type=int, default=20)
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker:
-        _worker(args.worker, args.loops)
-        return 0
 
     trees = dict(spec.split("=", 1) if "=" in spec else (spec, spec) for spec in args.src)
-    workers = {
-        label: subprocess.Popen(
-            [sys.executable, __file__, "--src", label, "--worker", os.path.abspath(src),
-             "--loops", str(args.loops)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        for label, src in trees.items()
+    cases = {
+        label: _cases(_import_forecaster(f"_leakbench_tree{i}", src))
+        for i, (label, src) in enumerate(trees.items())
     }
-    samples: dict[str, list[dict]] = {label: [] for label in trees}
+    for tree in cases.values():
+        for case, scope in tree.values():
+            _time(case, scope, 1)
+    samples = {label: {name: [] for name in tree} for label, tree in cases.items()}
     loadavg_start = os.getloadavg()
-    try:
-        for r in range(args.rounds):
-            order = list(workers) if r % 2 == 0 else list(reversed(workers))
+    for r in range(args.rounds):
+        order = list(cases) if r % 2 == 0 else list(reversed(cases))
+        for name in samples[order[0]]:
             for label in order:
-                proc = workers[label]
-                proc.stdin.write("\n")
-                proc.stdin.flush()
-                samples[label].append(json.loads(proc.stdout.readline()))
-    finally:
-        for proc in workers.values():
-            proc.stdin.close()
-            proc.wait()
+                samples[label][name].append(_time(*cases[label][name], args.loops))
     report = {
         "shape": {"hidden_size": HIDDEN, "batch": BATCH, "window": WINDOW},
         "rounds": args.rounds,
@@ -131,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         "loadavg_start": loadavg_start,
         "loadavg_end": os.getloadavg(),
         "trees": {
-            label: {name: _quartiles([s[name] for s in rows]) for name in rows[0]}
-            for label, rows in samples.items()
+            label: {name: _quartiles(times) for name, times in layer_times.items()}
+            for label, layer_times in samples.items()
         },
     }
     print(json.dumps(report, indent=1))

@@ -38,7 +38,6 @@ from .runner import (
     CellResult,
     ExperimentConfig,
     ExperimentReport,
-    emit_plot_data,
     emit_report,
     load_report,
     recompute_gains,
@@ -90,7 +89,6 @@ __all__ = [
     "baseline_linear_ar",
     "baseline_persistence",
     "describe",
-    "emit_plot_data",
     "emit_report",
     "gradient_check",
     "leakage_rank",

@@ -19,7 +19,6 @@ from .runner import (
     ExperimentConfig,
     _csv_text,
     cell_key,
-    emit_plot_data,
     emit_report,
     gains_csv,
     grid_splits,
@@ -123,11 +122,9 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out) if args.out else Path("runs") / cfg.name
     report = run_experiment(cfg, workers=args.workers, keep_going=args.keep_going)
-    written = emit_report(report, out_dir, fmt="json")
-    written += emit_report(report, out_dir, fmt="csv")
-    written += emit_plot_data(report, out_dir)
-    for path in written:
-        print(path)
+    for fmt in ("json", "csv"):
+        for path in emit_report(report, out_dir, fmt=fmt):
+            print(path)
     if report.errors:
         print(f"{len(report.errors)} run(s) failed (kept going):", file=sys.stderr)
         for msg in report.errors:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -153,31 +152,17 @@ def _scratch_arrays(name: str, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     the next call, which costs as much as the arithmetic. The arrays hold
     whatever the last call left there."""
     sizes = [math.prod(shape) for shape in shapes]
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None:
-        buf = np.empty(sum(sizes))
-    else:
-        buf = buffers.get(name)
-        if buf is None or buf.size < sum(sizes):
-            buf = buffers[name] = None  # free the old buffer before allocating
-            buf = buffers[name] = np.empty(sum(sizes))
+    if not hasattr(_scratch, "buffers"):
+        _scratch.buffers = {}
+    buf = _scratch.buffers.get(name)
+    if buf is None or buf.size < sum(sizes):
+        buf = _scratch.buffers[name] = None  # free the old buffer before allocating
+        buf = _scratch.buffers[name] = np.empty(sum(sizes))
     out, pos = [], 0
     for shape, size in zip(shapes, sizes):
         out.append(buf[pos : pos + size].reshape(shape))
         pos += size
     return out
-
-
-@contextmanager
-def _scratch_kept():
-    """Within this block the kernel keeps its scratch buffers on this thread
-    from call to call; outside it every call allocates its own."""
-    outer = getattr(_scratch, "buffers", None)
-    _scratch.buffers = {} if outer is None else outer
-    try:
-        yield
-    finally:
-        _scratch.buffers = outer
 
 
 def _forward(theta: np.ndarray, x: np.ndarray, hidden_size: int, bptt: bool):
@@ -489,7 +474,6 @@ def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
     return [(np.array(rows), size) for size, rows in by_size.items()]
 
 
-@_scratch_kept()
 def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[TrainOutcome]:
     """Train one model per job (train_set, val_set, seed) in lockstep, as one
     stacked batch with a leading model axis, and return the outcomes in job
@@ -504,7 +488,6 @@ def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[
     early or diverges leaves the stack. If any job failed, the
     TrainingError of the lowest-index failed job is raised after the others
     finish: the error that training the jobs one by one, in order, raises.
-    The kernel keeps its scratch buffers for the length of the call.
     """
     failed: dict[int, TrainingError] = {}
     live: list[_JobState] = []

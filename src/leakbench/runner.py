@@ -1,6 +1,6 @@
 """Experiment grid orchestration: repeat (window x lag x plan x mode)
 cells, aggregate per-run RMSEs, pair clean/leaky cells into gain records,
-and emit CSV/JSON reports plus long-format plot data.
+and emit the CSV/JSON reports.
 
 Per-run seeds derive from the base seed and the cell coordinates (never
 from grid position), so a cell's results do not depend on which other
@@ -402,6 +402,7 @@ CELL_CSV_HEADER = (
     "mean_optimal_epoch,mean_last_epoch,max_overlap"
 )
 GAIN_CSV_HEADER = "window,lag,plan,clean,leaky,gain_percent,direction,rank"
+RUN_CSV_HEADER = "name,window,lag,plan,mode,run,rmse"
 
 
 def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
@@ -409,40 +410,43 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, fmt: str = "csv")
 
     csv: `cells.csv` with one row per cell
     (name,window,lag,plan,mode,n_runs,min,max,mean,std,stderr,ci_low,
-    ci_high,mean_optimal_epoch,mean_last_epoch,max_overlap) and `gains.csv`
-    (window,lag,plan,clean,leaky,gain_percent,direction,rank). Floats use
-    repr so identical reports are byte-identical and re-ingestion is exact.
+    ci_high,mean_optimal_epoch,mean_last_epoch,max_overlap), `gains.csv`
+    (window,lag,plan,clean,leaky,gain_percent,direction,rank) and
+    `runs.csv` with one row per (cell, run)
+    (name,window,lag,plan,mode,run,rmse). Floats use repr so identical
+    reports are byte-identical and re-ingestion is exact.
 
     json: `report.json` carrying the full structure including audit detail;
     parsing it back reproduces the report exactly.
     """
+    if fmt == "json":
+        texts = {"report.json": json.dumps(report.to_dict(), indent=2) + "\n"}
+    elif fmt == "csv":
+        rows = []
+        for c in report.cells:
+            s = c.stats
+            ci_low, ci_high = (s.ci95 if s.ci95 is not None else (None, None))
+            rows.append((
+                report.name, c.window, c.lag, c.plan, c.mode, s.n_runs,
+                s.min, s.max, s.mean, s.std, s.stderr, ci_low, ci_high,
+                s.mean_optimal_epoch, s.mean_last_epoch, c.max_overlap,
+            ))
+        texts = {
+            "cells.csv": _csv_text(CELL_CSV_HEADER, rows),
+            "gains.csv": gains_csv(report.gains),
+            "runs.csv": _csv_text(RUN_CSV_HEADER, (
+                (report.name, c.window, c.lag, c.plan, c.mode, run, value)
+                for c in report.cells
+                for run, value in enumerate(c.run_rmses)
+            )),
+        }
+    else:
+        raise LeakbenchError(f"unknown report format {fmt!r} (expected csv or json)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if fmt == "json":
-        path = out / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-        return [path]
-    if fmt != "csv":
-        raise LeakbenchError(f"unknown report format {fmt!r} (expected csv or json)")
-
-    rows = []
-    for c in report.cells:
-        s = c.stats
-        ci_low, ci_high = (s.ci95 if s.ci95 is not None else (None, None))
-        rows.append((
-            report.name, c.window, c.lag, c.plan, c.mode, s.n_runs,
-            s.min, s.max, s.mean, s.std, s.stderr, ci_low, ci_high,
-            s.mean_optimal_epoch, s.mean_last_epoch, c.max_overlap,
-        ))
-    cells_path = out / "cells.csv"
-    cells_path.write_text(_csv_text(CELL_CSV_HEADER, rows), encoding="utf-8")
-    written.append(cells_path)
-
-    gains_path = out / "gains.csv"
-    gains_path.write_text(gains_csv(report.gains), encoding="utf-8")
-    written.append(gains_path)
-    return written
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in texts]
 
 
 def gains_csv(records: Sequence[GainRecord]) -> str:
@@ -459,26 +463,6 @@ def load_report(path: str | Path) -> ExperimentReport:
     if p.is_dir():
         p = p / "report.json"
     return ExperimentReport.from_dict(_read_json(p, "no report found at"))
-
-
-def emit_plot_data(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """Long-format files for external plotting: `runs.csv` has one row per
-    (cell, run) observation; `gains_long.csv` one row per gain record.
-    Row order is deterministic for identical reports."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runs_path = out / "runs.csv"
-    runs_path.write_text(_csv_text("name,window,lag,plan,mode,run,rmse", (
-        (report.name, c.window, c.lag, c.plan, c.mode, run_idx, value)
-        for c in report.cells
-        for run_idx, value in enumerate(c.run_rmses)
-    )), encoding="utf-8")
-
-    gains_path = out / "gains_long.csv"
-    gains_path.write_text(_csv_text("window,lag,plan,gain_percent", (
-        (g.window, g.lag, g.plan, g.gain_percent) for g in report.gains
-    )), encoding="utf-8")
-    return [runs_path, gains_path]
 
 
 def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRecord]:
@@ -501,11 +485,17 @@ def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRe
                     continue
                 try:
                     key = (int(row["window"]), int(row["lag"]), row["plan"])
-                    means[key] = float(row["mean"])
+                    mean = float(row["mean"])
                 except (TypeError, ValueError) as exc:
                     raise DataError(
                         f"{p}: line {reader.line_num}: cannot parse row: {exc}"
                     ) from exc
+                if key in means:
+                    raise DataError(
+                        f"{p}: line {reader.line_num}: repeats cell W={key[0]} "
+                        f"L={key[1]} plan={key[2]} mode={mode}"
+                    )
+                means[key] = mean
         if not means:
             raise LeakbenchError(f"{p}: no rows with mode={mode!r}")
         return means

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -76,13 +78,26 @@ class TestUsage:
         assert not out.exists()
 
 
+RUN_FILES = {"report.json", "cells.csv", "gains.csv", "runs.csv"}
+
+
 class TestRun:
     def test_writes_reports(self, tmp_path, climate_csv, capsys):
         cfg = write_config(tmp_path, climate_csv)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 0
-        for name in ("report.json", "cells.csv", "gains.csv", "runs.csv", "gains_long.csv"):
-            assert (out / name).exists()
+        assert {p.name for p in out.iterdir()} == RUN_FILES
+        assert capsys.readouterr().out.split() == [
+            str(out / name) for name in ("report.json", "cells.csv", "gains.csv", "runs.csv")
+        ]
+
+    def test_readme_reports_lists_the_files_run_writes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Reports", 1)[1].split("\n## ", 1)[0]
+        # each bullet names its files in backticks before the dash
+        listed = [name for names in re.findall(r"^- (.+?) —", section, re.M)
+                  for name in re.findall(r"`([^`]+)`", names)]
+        assert sorted(listed) == sorted(RUN_FILES)
 
     def test_byte_identical_reruns(self, tmp_path, climate_csv):
         cfg = write_config(tmp_path, climate_csv)
@@ -235,6 +250,20 @@ class TestGain:
         err = capsys.readouterr().err
         assert f"{p}: line 3: cannot parse row" in err
 
+    def test_repeated_cell_is_data_error(self, tmp_path, capsys):
+        # two 2-way plans (50/50 and 60/40) share one label
+        p = tmp_path / "cells.csv"
+        p.write_text(
+            "name,window,lag,plan,mode,mean\n"
+            "x,10,1,2-way,clean,1.4366\n"
+            "x,10,1,2-way,leaky,1.43\n"
+            "x,10,1,2-way,clean,1.4928\n"
+        )
+        assert main(["gain", str(p), str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {p}: line 4: repeats cell W=10 L=1 plan=2-way mode=clean\n"
+        assert captured.out == ""
+
 
 class TestReport:
     def test_reemits_csv_from_run_dir(self, tmp_path, climate_csv):
@@ -243,7 +272,8 @@ class TestReport:
         main(["run", cfg, "--out", str(out)])
         re_out = tmp_path / "re"
         assert main(["report", str(out), "--format", "csv", "--out", str(re_out)]) == 0
-        assert (re_out / "cells.csv").read_bytes() == (out / "cells.csv").read_bytes()
+        for name in ("cells.csv", "gains.csv", "runs.csv"):
+            assert (re_out / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_json_round_trip(self, tmp_path, climate_csv):
         cfg = write_config(tmp_path, climate_csv)

@@ -14,7 +14,6 @@ from leakbench.forecaster import (
     LstmModel,
     _Adam,
     _forward,
-    _scratch_kept,
     Scaler,
     TrainConfig,
     baseline_linear_ar,
@@ -471,6 +470,11 @@ def train_each_both_ways(jobs, cfg, hidden_size):
     return many
 
 
+def forget_scratch():
+    """Drop the kernel buffers this thread keeps."""
+    forecaster._scratch.__dict__.clear()
+
+
 class TestTrainMany:
     def test_clean_k_fold_with_ragged_train_sizes(self, climate):
         results = split(
@@ -535,14 +539,14 @@ class TestTrainMany:
         ))
         assert (len(res.train), len(res.val)) == (1013, 136)
         cfg = TrainConfig(epochs=1)
-        with _scratch_kept():
-            theta = LstmModel.initialize(16, np.random.default_rng(0)).theta[None]
-            loss_and_gradients(theta, np.zeros((1, cfg.batch_size, 10)),
-                               np.zeros((1, cfg.batch_size)), 16)
-            training = forecaster._scratch.buffers["forward"].size
-        with _scratch_kept():
-            train_many([(res.train, res.val, 0)], cfg, 16)
-            kept = forecaster._scratch.buffers["forward"].size
+        forget_scratch()
+        theta = LstmModel.initialize(16, np.random.default_rng(0)).theta[None]
+        loss_and_gradients(theta, np.zeros((1, cfg.batch_size, 10)),
+                           np.zeros((1, cfg.batch_size)), 16)
+        training = forecaster._scratch.buffers["forward"].size
+        forget_scratch()
+        train_many([(res.train, res.val, 0)], cfg, 16)
+        kept = forecaster._scratch.buffers["forward"].size
         assert kept <= training
 
     def test_single_job(self):
@@ -590,6 +594,16 @@ class TestPredict:
         seqs = make_sequences(np.arange(20.0), WindowConfig(4, 2))
         out = train(seqs, None, TrainConfig(epochs=2), hidden_size=4, seed=0)
         assert predict(out.model, out.scaler, seqs).shape == (len(seqs),)
+
+    def test_calls_outside_training_reuse_the_threads_forward_buffer(self):
+        seqs = make_sequences(np.sin(np.arange(60.0) / 5.0), WindowConfig(5, 1))
+        forget_scratch()
+        out = train(seqs, None, TrainConfig(epochs=1), hidden_size=4, seed=0)
+        first = predict(out.model, out.scaler, seqs)
+        kept = forecaster._scratch.buffers["forward"]
+        out.model.forward(seqs.inputs()[:3])
+        np.testing.assert_array_equal(predict(out.model, out.scaler, seqs), first)
+        assert forecaster._scratch.buffers["forward"] is kept
 
 
 class TestGradientCheck:

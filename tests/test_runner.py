@@ -14,7 +14,6 @@ from leakbench.runner import (
     ExperimentConfig,
     ExperimentReport,
     derive_seed,
-    emit_plot_data,
     emit_report,
     load_report,
     recompute_gains,
@@ -388,20 +387,18 @@ class TestEmit:
         with pytest.raises(LeakbenchError, match="unknown report format"):
             emit_report(report, tmp_path, fmt="xml")
 
-    def test_plot_data_shapes(self, climate_csv, tmp_path):
+    def test_runs_csv_shape(self, climate_csv, tmp_path):
         cfg = base_config(climate_csv, repetitions=10, modes=("leaky",), lags=(1, 2))
         report = run_experiment(cfg)
-        emit_plot_data(report, tmp_path)
+        assert (tmp_path / "runs.csv") in emit_report(report, tmp_path, fmt="csv")
         runs = (tmp_path / "runs.csv").read_text().strip().splitlines()
         assert runs[0] == "name,window,lag,plan,mode,run,rmse"
         assert len(runs) == 1 + 2 * 10  # 2 cells x 10 runs
-        gains = (tmp_path / "gains_long.csv").read_text().strip().splitlines()
-        assert gains[0] == "window,lag,plan,gain_percent"
 
-    def test_plot_data_deterministic(self, climate_csv, tmp_path):
+    def test_runs_csv_deterministic(self, climate_csv, tmp_path):
         report = run_experiment(base_config(climate_csv))
-        emit_plot_data(report, tmp_path / "a")
-        emit_plot_data(report, tmp_path / "b")
+        emit_report(report, tmp_path / "a", fmt="csv")
+        emit_report(report, tmp_path / "b", fmt="csv")
         assert (tmp_path / "a" / "runs.csv").read_bytes() == (
             tmp_path / "b" / "runs.csv"
         ).read_bytes()
