@@ -14,19 +14,14 @@ the other, and the tree that goes first alternates from round to round, so
 a drift in the speed of a shared machine hits every tree alike. Every tree
 gets the same inputs. At M = 10, forward is what `train_many` calls for
 validation losses: the forward-only `_forward(theta, x, H, False)` on the
-stack. Each layer is timed the way a run calls it: `forward.m1` (what
-`predict` calls) as a bare call, the others inside `_scratch_kept` in a
-tree that has it (older trees keep the kernel's scratch only inside that
-scope, which `train_many` enters; the lookup can go once no tree compared
-has it). The output holds, per tree and layer, the median and quartiles
-over the rounds of the time per call in microseconds, with the core count
-and load averages.
+stack; `forward.m1` is what `predict` calls. The output holds, per tree
+and layer, the median and quartiles over the rounds of the time per call
+in microseconds, with the core count and load averages.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
 import json
@@ -58,7 +53,6 @@ def _cases(fc) -> dict:
     """Each layer of forecaster module `fc` as a zero-argument call, with
     the inputs every tree shares."""
     rng = np.random.default_rng(0)
-    in_training = getattr(fc, "_scratch_kept", contextlib.nullcontext)
     cases = {}
     for m in STACKS:
         theta = np.stack([fc.LstmModel.initialize(HIDDEN, rng).theta for _ in range(m)])
@@ -76,19 +70,15 @@ def _cases(fc) -> dict:
         stepped = theta.copy()
         cases[f"adam_step.m{m}"] = (
             lambda adam=adam, stepped=stepped, grad=grad: adam.step(stepped, grad, slice(None)))
-    return {
-        name: (case, contextlib.nullcontext if name == "forward.m1" else in_training)
-        for name, case in cases.items()
-    }
+    return cases
 
 
-def _time(case, scope, loops: int) -> float:
+def _time(case, loops: int) -> float:
     """Seconds per call of one layer, timed once."""
-    with scope():
-        start = time.perf_counter()
-        for _ in range(loops):
-            case()
-        return (time.perf_counter() - start) / loops
+    start = time.perf_counter()
+    for _ in range(loops):
+        case()
+    return (time.perf_counter() - start) / loops
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -110,15 +100,15 @@ def main(argv: list[str] | None = None) -> int:
         for i, (label, src) in enumerate(trees.items())
     }
     for tree in cases.values():
-        for case, scope in tree.values():
-            _time(case, scope, 1)
+        for case in tree.values():
+            _time(case, 1)
     samples = {label: {name: [] for name in tree} for label, tree in cases.items()}
     loadavg_start = os.getloadavg()
     for r in range(args.rounds):
         order = list(cases) if r % 2 == 0 else list(reversed(cases))
         for name in samples[order[0]]:
             for label in order:
-                samples[label][name].append(_time(*cases[label][name], args.loops))
+                samples[label][name].append(_time(cases[label][name], args.loops))
     report = {
         "shape": {"hidden_size": HIDDEN, "batch": BATCH, "window": WINDOW},
         "rounds": args.rounds,

@@ -37,12 +37,19 @@ class AuditReport(Record):
 
 def footprint_mask(seqs: SequenceSet, size: int) -> np.ndarray:
     """Boolean mask over raw indices [0, size) of the union of the pairs'
-    footprints: window coverage from a difference array, then the targets."""
-    w = seqs.config.window_size
-    edges = np.bincount(seqs.starts, minlength=size + 1)
-    edges -= np.bincount(seqs.starts + w, minlength=size + 1)
-    mask = np.cumsum(edges[:size]) > 0
-    mask[seqs.target_indices()] = True
+    footprints: window coverage from a difference array, then the targets.
+
+    The buffers are int32 and bool, and `a[k:][starts]` (which is
+    a[starts + k]) stands in for a shifted copy of `starts`: at 30k points
+    an int64 temporary passes malloc's mmap threshold, and a fresh mapping
+    page-faults on every page it touches. Repeated starts add their window
+    once, which leaves the union as it is."""
+    config = seqs.config
+    edges = np.zeros(size + 1, dtype=np.int32)
+    edges[seqs.starts] += 1
+    edges[config.window_size:][seqs.starts] -= 1
+    mask = np.cumsum(edges[:size], out=edges[:size]) > 0
+    mask[config.target_offset:][seqs.starts] = True
     return mask
 
 
@@ -57,10 +64,11 @@ def audit(result: SplitResult) -> AuditReport:
     overlap = np.flatnonzero(train_fp & test_fp)
     # a test pair is contaminated when its window holds a training-side index
     # (prefix sums count them) or its target is one
-    seen = np.concatenate([[0], np.cumsum(train_fp)])
-    starts = result.test.starts
-    window_hits = seen[starts + result.test.config.window_size] - seen[starts]
-    contaminated = (window_hits > 0) | train_fp[result.test.target_indices()]
+    seen = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(train_fp, dtype=np.int32, out=seen[1:])
+    starts, config = result.test.starts, result.test.config
+    window_hits = seen[config.window_size:][starts] - seen[starts]
+    contaminated = (window_hits > 0) | train_fp[config.target_offset:][starts]
     return AuditReport(
         train_footprint_size=int(train_fp.sum()),
         test_footprint_size=int(test_fp.sum()),
@@ -85,13 +93,14 @@ def apply_buffer(result: SplitResult, gap: int) -> SplitResult:
     """
     if gap < 0:
         raise AuditError(f"gap must be >= 0, got {gap}")
+    offset = result.test.config.target_offset
     lo = int(result.test.starts.min()) - gap
-    hi = int(result.test.target_indices().max()) + gap
+    hi = int(result.test.starts.max()) + offset + gap
 
     def keep(seqs: SequenceSet, name: str) -> SequenceSet:
         # a footprint spans [t, t+W+L-1], so containment in the widened
         # range reduces to its two extremes
-        kept = (seqs.starts < lo) | (seqs.target_indices() > hi)
+        kept = (seqs.starts < lo) | (seqs.starts > hi - offset)
         if not kept.any():
             raise AuditError(f"buffer gap {gap} empties the {name} set")
         return replace(seqs, starts=seqs.starts[kept])

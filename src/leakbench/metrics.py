@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import LeakbenchError
 from .records import Record
@@ -80,9 +80,7 @@ def aggregate(
     if n >= 2:
         std = float(vals.std(ddof=1))
         stderr = std / math.sqrt(n)
-        # the Student-t quantile scipy.stats.t.ppf computes, without
-        # importing scipy.stats
-        half = float(stdtrit(n - 1, 0.975)) * stderr
+        half = _t975(n - 1) * stderr
         ci = (mean - half, mean + half)
     return RunStats(
         n_runs=n,
@@ -97,6 +95,58 @@ def aggregate(
         ),
         mean_last_epoch=(float(np.mean(last_epochs)) if last_epochs else None),
     )
+
+
+def _t_abs_cdf(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 1: the finite sums in
+    cos(theta), theta = atan(t / sqrt(df)), of Abramowitz & Stegun 26.7.3
+    (odd df) and 26.7.4 (even df). Each power of cos^2(theta) comes from one
+    log1p, not a running product, so its rounding does not grow with df."""
+    log_cos2 = -math.log1p(t * t / df)
+    odd = df % 2
+    coef = total = 1.0
+    for j, k in enumerate(range(2 + odd, df - 1, 2), 1):
+        coef *= (k - 1) / k
+        total += coef * math.exp(j * log_cos2)
+    sin = t / math.sqrt(df + t * t)
+    if not odd:
+        return sin * total
+    series = sin * math.exp(0.5 * log_cos2) * total if df > 1 else 0.0
+    return 2 / math.pi * (math.atan(t / math.sqrt(df)) + series)
+
+
+@cache
+def _t975(df: int) -> float:
+    """The 0.975 quantile of Student's t with integer df >= 1, the value of
+    scipy.stats.t.ppf(0.975, df), from the standard library alone.
+
+    Below df 1000 it is Newton's method on `_t_abs_cdf` from t = 0. That
+    CDF is concave for t >= 0, so the iterates rise to the root without
+    overshooting it. From df 1000 on it is the Cornish-Fisher expansion
+    (A&S 26.7.5) to 1/df^4, whose first omitted term is below 1e-15
+    relative there. Over df 1..19,999 the result lies within 1e-14 relative
+    of scipy.special.stdtrit, which is itself up to 3.5e-15 off the exact
+    quantile, so the two cannot agree to the last bit.
+    """
+    if df >= 1000:
+        x = 1.959963984540054  # the standard normal's 0.975 quantile
+        x2 = x * x
+        g1 = (x2 + 1) * x / 4
+        g2 = ((5 * x2 + 16) * x2 + 3) * x / 96
+        g3 = (((3 * x2 + 19) * x2 + 17) * x2 - 15) * x / 384
+        g4 = ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) * x / 92160
+        return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    log_norm = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                - 0.5 * math.log(df * math.pi))
+    t = 0.0
+    while True:
+        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (0.95 - _t_abs_cdf(t, df)) / (2 * density)
+        t += step
+        # convergence is quadratic: after a step this small, what is left
+        # of the error is below rounding
+        if step <= 1e-12 * t:
+            return t
 
 
 def rmse_gain(clean: float, leaky: float) -> tuple[float, str]:

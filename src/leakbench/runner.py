@@ -241,9 +241,11 @@ def _execute_task(series: TimeSeries, cfg: ExperimentConfig, task: tuple[int, Sp
 
 def environment(workers: int) -> dict:
     """The software and machine a run's last bits depend on: interpreter,
-    numpy and scipy versions, the BLAS numpy was built with, the SIMD
-    extensions numpy found on this CPU (its tanh and exp are SIMD code),
-    the core count and the worker count."""
+    numpy version, the BLAS numpy was built with, the SIMD extensions numpy
+    found on this CPU (its tanh and exp are SIMD code), the core count and
+    the worker count. The scipy version is recorded too: scipy no longer
+    computes any part of a run's results, but it builds the bundled
+    reference series a config may name as its dataset."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {

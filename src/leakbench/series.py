@@ -84,15 +84,16 @@ class Decomposition:
 def load_csv(path: str | Path, value_column: str, date_column: str = "date") -> TimeSeries:
     """Load a univariate series from a comma-separated file.
 
-    The file must be UTF-8 with a header row; dates are ISO-8601. Rows are
-    sorted by date; duplicate dates, unparseable rows (reported with their
-    file line number) and non-finite values are rejected.
+    The file must be UTF-8 (a leading byte-order mark is skipped) with a
+    header row; dates are ISO-8601. Rows are sorted by date; duplicate
+    dates, unparseable rows (reported with their file line number) and
+    non-finite values are rejected.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such file: {p}")
     rows: list[tuple[date, float]] = []
-    with open(p, newline="", encoding="utf-8") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{p}: no data rows")

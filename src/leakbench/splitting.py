@@ -190,7 +190,8 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
         for name, ranges in parts.items():
             if leaky:
                 starts = np.concatenate([axis[a:b] for a, b in ranges])
-                part = replace(full, starts=np.sort(starts))
+                starts.sort()
+                part = replace(full, starts=starts)
             else:
                 segments = [
                     make_sequences(series.values[a:b], window, offset=a) for a, b in ranges

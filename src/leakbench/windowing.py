@@ -32,6 +32,11 @@ class WindowConfig(Record):
         if self.lag_step < 1:
             raise WindowError(f"lag_step must be >= 1, got {self.lag_step}")
 
+    @property
+    def target_offset(self) -> int:
+        """W + L - 1: how far a pair's target lies after its window start."""
+        return self.window_size + self.lag_step - 1
+
 
 @dataclass(frozen=True, eq=False)
 class SequenceSet:
@@ -62,10 +67,11 @@ class SequenceSet:
         object.__setattr__(self, "source_range", ranges)
         if np.any(starts[1:] < starts[:-1]):
             raise WindowError("pairs must be ordered by input_start")
-        last = self.target_indices()
+        # a pair lies in [lo, hi) when its start and its target do
+        offset = self.config.target_offset
         inside = np.zeros(starts.shape, dtype=bool)
         for lo, hi in ranges:
-            inside |= (lo <= starts) & (last < hi)
+            inside |= (lo <= starts) & (starts < hi - offset)
         if not inside.all():
             raise WindowError(
                 f"pair at t={int(starts[~inside][0])} falls outside source range"
@@ -77,7 +83,7 @@ class SequenceSet:
 
     def target_indices(self) -> np.ndarray:
         """Raw index t + W + L - 1 of every pair's target."""
-        return self.starts + self.config.window_size + self.config.lag_step - 1
+        return self.starts + self.config.target_offset
 
     def _origin(self) -> int:
         """Raw index of values[0]."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -15,14 +16,18 @@ from leakbench.errors import LeakbenchError
 from leakbench.metrics import (
     GainRecord,
     RunStats,
+    _t975,
     aggregate,
     leakage_rank,
     make_gain_record,
     rmse,
     rmse_gain,
 )
+from leakbench.splitting import SplitPlan
 
 T_975_DF1 = 12.706204736174698  # two-sided 95% quantile, 1 degree of freedom
+# _t975 against scipy; scipy's stdtrit is itself up to 3.5e-15 off the exact quantile
+T975_RTOL = 1e-13
 
 # Published clean/leaky mean-RMSE pairs and their gain percentages for the
 # five configuration groups x three validation plans.
@@ -122,27 +127,69 @@ class TestAggregate:
         stats = aggregate([1.0, 3.0], optimal_epochs=[4, 6])
         assert RunStats.from_dict(stats.to_dict()) == stats
 
-    def test_ci95_equals_the_scipy_stats_t_formula_exactly(self):
+    def test_ci95_is_mean_plus_minus_t975_stderr_and_t975_matches_t_ppf(self):
         from scipy import stats as sps
 
         rng = np.random.default_rng(3)
         for n in range(2, 201):
             runs = aggregate(rng.normal(2.0, 0.1, size=n))
-            half = float(sps.t.ppf(0.975, n - 1)) * runs.stderr
+            half = _t975(n - 1) * runs.stderr
             assert runs.ci95 == (runs.mean - half, runs.mean + half)
+            assert _t975(n - 1) == pytest.approx(sps.t.ppf(0.975, n - 1), rel=T975_RTOL)
 
 
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+@pytest.mark.parametrize("dfs", [range(1, 1000), range(1000, 20000, 37)],
+                         ids=["newton", "cornish-fisher"])
+def test_t975_matches_scipy_stdtrit(dfs):
+    from scipy.special import stdtrit
+
+    for df in dfs:
+        assert _t975(df) == pytest.approx(stdtrit(df, 0.975), rel=T975_RTOL), df
+
+
+def test_t975_closed_forms():
+    assert _t975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+    assert _t975(2) == pytest.approx(0.95 / math.sqrt(2 * 0.975 * 0.025), rel=1e-14)
+
+
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_scipy_special_stats_and_optimize_unloaded():
     code = (
         "import sys, leakbench.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing') "
-        "if m in sys.modules])"
+        "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize', "
+        "'multiprocessing') if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_leaves_scipy_special_unloaded(tmp_path):
+    from leakbench.synthetic import write_reference_csv
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "name": "import-path", "dataset": str(write_reference_csv(tmp_path / "climate.csv")),
+        "windows": [3], "lags": [1], "plans": [SplitPlan.two_way().to_dict()],
+        "modes": ["leaky", "clean"], "order": "sequential", "model": "lstm",
+        "train": {"epochs": 1}, "repetitions": 2, "base_seed": 1,
+    }))
+    code = (
+        "import sys; from leakbench.cli import main; "
+        f"code = main(['run', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, [m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    cells = (tmp_path / "out" / "cells.csv").read_text().splitlines()
+    assert len(cells) == 3 and all(row.split(",")[5] == "2" for row in cells[1:])
 
 
 class TestRmseGain:

@@ -54,6 +54,14 @@ class TestLoadCsv:
         assert list(s.values) == [1.0, 2.0, 3.0]
         assert s.timestamps[0] == date(2013, 1, 1)
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        p = tmp_path / "excel.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,meantemp\r\n2013-01-01,10.0\r\n2013-01-02,7.4\r\n")
+        s = load_csv(p, value_column="meantemp")
+        assert list(s.values) == [10.0, 7.4]
+        assert s.timestamps[0] == date(2013, 1, 1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", value_column="v")
