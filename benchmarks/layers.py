@@ -16,7 +16,11 @@ gets the same inputs. At M = 10, forward is what `train_many` calls for
 validation losses: the forward-only `_forward(theta, x, H, False)` on the
 stack; `forward.m1` is what `predict` calls. The output holds, per tree
 and layer, the median and quartiles over the rounds of the time per call
-in microseconds, with the core count and load averages.
+in microseconds, with the core count and load averages. Under "ratios",
+each tree after the first is compared with the first, layer by layer: the
+ratio of the two trees' medians, and the median and quartiles of the
+per-round ratios (this tree's time over the first tree's in the same
+round), which a drift that spans several rounds moves less.
 """
 
 from __future__ import annotations
@@ -86,6 +90,21 @@ def _quartiles(values: list[float]) -> dict:
     return {"median_us": median * 1e6, "q1_us": q1 * 1e6, "q3_us": q3 * 1e6}
 
 
+def _ratios(times: list[float], base: list[float]) -> dict:
+    """A tree's round times against the first tree's: the ratio of their
+    medians, and the median and quartiles of the per-round ratios."""
+    per_round = [t / b for t, b in zip(times, base)]
+    q1, median, q3 = (
+        statistics.quantiles(per_round, n=4) if len(per_round) > 1 else per_round * 3
+    )
+    return {
+        "ratio_of_medians": statistics.median(times) / statistics.median(base),
+        "median_ratio": median,
+        "q1_ratio": q1,
+        "q3_ratio": q3,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True,
@@ -120,6 +139,12 @@ def main(argv: list[str] | None = None) -> int:
             label: {name: _quartiles(times) for name, times in layer_times.items()}
             for label, layer_times in samples.items()
         },
+    }
+    first, *others = samples
+    report["ratios"] = {
+        label: {name: _ratios(samples[label][name], times)
+                for name, times in samples[first].items()}
+        for label in others
     }
     print(json.dumps(report, indent=1))
     return 0

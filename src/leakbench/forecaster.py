@@ -397,9 +397,13 @@ def train(
     when `val_set` is given and the epoch training MSE otherwise; training
     halts after `patience` epochs without improvement and the best-epoch
     weights are restored. Fully deterministic for a fixed `seed`; None
-    draws fresh entropy. This is `train_many` with one job.
+    draws fresh entropy. This is `train_many` with one job, whose
+    TrainingError it raises.
     """
-    return train_many([(train_set, val_set, seed)], cfg, hidden_size)[0]
+    (outcome,) = train_many([(train_set, val_set, seed)], cfg, hidden_size)
+    if isinstance(outcome, TrainingError):
+        raise outcome
+    return outcome
 
 
 class _JobState:
@@ -474,10 +478,12 @@ def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
     return [(np.array(rows), size) for size, rows in by_size.items()]
 
 
-def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[TrainOutcome]:
+def train_many(
+    jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int
+) -> list[TrainOutcome | TrainingError]:
     """Train one model per job (train_set, val_set, seed) in lockstep, as one
-    stacked batch with a leading model axis, and return the outcomes in job
-    order.
+    stacked batch with a leading model axis, and return each job's outcome,
+    or the TrainingError that failed it, in job order.
 
     Each model gets bit for bit what `train` on its job alone gives: its
     own scaler, RNG (the init draw, then one permutation per epoch), loss
@@ -485,9 +491,8 @@ def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[
     grouped by batch size (training sets of different sizes end an epoch
     with ragged batches) and each group is one stacked call; zero-padding
     them instead would change the order of the sums. A model that stops
-    early or diverges leaves the stack. If any job failed, the
-    TrainingError of the lowest-index failed job is raised after the others
-    finish: the error that training the jobs one by one, in order, raises.
+    early or diverges leaves the stack, so one failing job leaves the
+    others' outcomes as they would be without it.
     """
     failed: dict[int, TrainingError] = {}
     live: list[_JobState] = []
@@ -564,9 +569,12 @@ def train_many(jobs: Sequence[Job], cfg: TrainConfig, hidden_size: int) -> list[
             if live[r].end_epoch(epoch, monitor, theta[r], cfg):
                 running.remove(r)
 
-    if failed:
-        raise failed[min(failed)]
-    return [job.outcome(theta[r], cfg, hidden_size) for r, job in enumerate(live)]
+    done = {
+        job.index: job.outcome(theta[r], cfg, hidden_size)
+        for r, job in enumerate(live)
+        if job.index not in failed
+    }
+    return [failed[i] if i in failed else done[i] for i in range(len(jobs))]
 
 
 def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:

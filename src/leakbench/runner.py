@@ -31,6 +31,7 @@ from .audit import AuditReport, audit
 from .errors import ContaminationError, DataError, LeakbenchError, SplitError
 from .forecaster import (
     TrainConfig,
+    TrainOutcome,
     baseline_linear_ar,
     baseline_persistence,
     predict,
@@ -182,35 +183,29 @@ def grid_splits(cfg: ExperimentConfig) -> list[tuple[SplitSpec, ...]]:
     ]
 
 
-def _score_folds(
-    cfg: ExperimentConfig, results: list[SplitResult], train_seeds: list[int | None]
-) -> tuple[list[float], list[tuple[int, int]] | None]:
-    """Fit and score every fold: the test RMSE of each fold and, for the
-    LSTM, each fold's (optimal, last) epoch (None for the baselines). The
-    LSTMs of all folds train together in one `train_many` call."""
-    if cfg.model == "persistence":
-        return [
-            rmse(baseline_persistence(res.test), res.test.targets()) for res in results
-        ], None
-    if cfg.model == "linear_ar":
-        return [
-            rmse(baseline_linear_ar(res.train, res.test), res.test.targets()) for res in results
-        ], None
-    jobs = [(res.train, res.val, seed) for res, seed in zip(results, train_seeds)]
-    outcomes = train_many(jobs, cfg.train, hidden_size=cfg.hidden_size)
-    rmses = [
-        rmse(predict(out.model, out.scaler, res.test), res.test.targets())
-        for res, out in zip(results, outcomes)
-    ]
-    return rmses, [(out.optimal_epoch, out.last_epoch) for out in outcomes]
+# Most models in one `train_many` call. Measured on 2 cores (H 16, B 32,
+# W 10, one epoch of clean 10-fold training sets, median of 15 interleaved
+# rounds): 979 us per model-step at M = 1, 359 at M = 10, 334 at M = 20 and
+# 354 at M = 40. A 10-rep 10-fold cell (3 epochs) peaked at 43.4-43.5 MB
+# with a cap of 10, as the parent's one stack per repetition did
+# (43.3-43.4 MB), and at 50.5-50.7 MB with a cap of 20, no faster. So 10:
+# one k = 10 repetition is one stack, and a 2-way or 3-way cell's ten
+# repetitions are one too.
+STACK_CAP = 10
 
 
-def _run_once(
-    series: TimeSeries, cfg: ExperimentConfig, rep: int, spec: SplitSpec
-) -> tuple[float, tuple[float, float] | None, tuple[AuditReport, ...]]:
-    """One repetition of one cell: its mean fold RMSE, its mean (optimal,
-    last) epoch (None for the baselines) and the audit of every fold."""
-    window, lag, plan, mode = key = cell_key(spec)
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, as a value."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _audited_split(series: TimeSeries, spec: SplitSpec) -> tuple[list[SplitResult], tuple]:
+    """Every fold of a split and its audit. A contaminated clean fold raises
+    ContaminationError."""
+    window, lag, plan, mode = cell_key(spec)
     results = split(series, spec)
     audits = tuple(audit(res) for res in results)
     for res, report in zip(results, audits):
@@ -220,23 +215,111 @@ def _run_once(
                 f"plan={plan} fold={res.fold_index} "
                 f"overlap={report.overlap_count}"
             )
-    train_seeds = [
-        derive_seed(cfg.base_seed, *key, rep, res.fold_index, "train") for res in results
+    return results, audits
+
+
+def _baseline_scores(cfg: ExperimentConfig, results: list[SplitResult]) -> tuple[list[float], None]:
+    """The test RMSE of each fold under the persistence or linear AR
+    baseline, and no epochs."""
+    if cfg.model == "persistence":
+        predictions = [baseline_persistence(res.test) for res in results]
+    else:
+        predictions = [baseline_linear_ar(res.train, res.test) for res in results]
+    return [rmse(p, res.test.targets()) for p, res in zip(predictions, results)], None
+
+
+def _fold_score(out: TrainOutcome, res: SplitResult) -> tuple[float, tuple[int, int]]:
+    """A trained fold's test RMSE and its (optimal, last) epoch."""
+    return (
+        rmse(predict(out.model, out.scaler, res.test), res.test.targets()),
+        (out.optimal_epoch, out.last_epoch),
+    )
+
+
+def _lstm_scores(cfg: ExperimentConfig, specs: Sequence[SplitSpec], splits: list) -> list:
+    """Per repetition with a split, its fold RMSEs and each fold's (optimal,
+    last) epoch, or its error; None for a repetition without a split. The
+    folds of all repetitions train in `train_many` stacks of at most
+    STACK_CAP models, each fold on its own derived seed, so a model's
+    numbers do not depend on its stack. Each stack's models are scored and
+    dropped before the next trains."""
+    jobs = [
+        (rep, res, derive_seed(cfg.base_seed, *cell_key(spec), rep, res.fold_index, "train"))
+        for rep, (spec, folds) in enumerate(zip(specs, splits))
+        if not isinstance(folds, Exception)
+        for res in folds[0]
     ]
-    rmses, epochs = _score_folds(cfg, results, train_seeds)
-    mean_epochs = None if epochs is None else tuple(np.mean(epochs, axis=0).tolist())
-    return float(np.mean(rmses)), mean_epochs, audits
+    train_errors: list[list] = [[] for _ in specs]
+    fold_scores: list[list] = [[] for _ in specs]  # a score or a prediction error
+    for start in range(0, len(jobs), STACK_CAP):
+        stack = jobs[start:start + STACK_CAP]
+        outcomes = _attempt(
+            train_many, [(res.train, res.val, seed) for _, res, seed in stack],
+            cfg.train, cfg.hidden_size,
+        )
+        for i, (rep, res, _) in enumerate(stack):
+            out = outcomes if isinstance(outcomes, Exception) else outcomes[i]
+            if isinstance(out, Exception):
+                train_errors[rep].append(out)
+            else:
+                fold_scores[rep].append(_attempt(_fold_score, out, res))
+    scores = []
+    for errors, rep_scores in zip(train_errors, fold_scores):
+        # A training error comes first: the error that training every fold,
+        # then predicting each, raises.
+        errors = errors + [s for s in rep_scores if isinstance(s, Exception)]
+        if errors or not rep_scores:
+            scores.append(errors[0] if errors else None)
+        else:
+            rmses, epochs = zip(*rep_scores)
+            scores.append((list(rmses), list(epochs)))
+    return scores
 
 
-def _execute_task(series: TimeSeries, cfg: ExperimentConfig, task: tuple[int, SplitSpec]):
-    """One (repetition, SplitSpec) unit of work; module-level so worker
+def _run_cell(series: TimeSeries, cfg: ExperimentConfig, specs: Sequence[SplitSpec]) -> list:
+    """Every repetition of one cell: its mean fold RMSE, its mean (optimal,
+    last) epoch (None for the baselines) and the audit of every fold, or the
+    exception that failed it.
+
+    A split is made and audited once per seed it reads (`seed_read`), so
+    under sequential order all repetitions share one. A baseline's fit reads
+    no seed, so it is scored once per distinct split; the LSTM trains every
+    repetition's folds on their own seeds."""
+    splits = {}
+    for spec in specs:
+        if spec.seed_read not in splits:
+            splits[spec.seed_read] = _attempt(_audited_split, series, spec)
+    rep_splits = [splits[spec.seed_read] for spec in specs]
+    if cfg.model == "lstm":
+        scores = _lstm_scores(cfg, specs, rep_splits)
+    else:
+        scored = {
+            key: _attempt(_baseline_scores, cfg, folds[0])
+            for key, folds in splits.items()
+            if not isinstance(folds, Exception)
+        }
+        scores = [scored.get(spec.seed_read) for spec in specs]
+    runs = []
+    for folds, score in zip(rep_splits, scores):
+        failure = folds if isinstance(folds, Exception) else score
+        if isinstance(failure, Exception):
+            runs.append(failure)
+            continue
+        rmses, epochs = score
+        mean_epochs = None if epochs is None else tuple(np.mean(epochs, axis=0).tolist())
+        runs.append((float(np.mean(rmses)), mean_epochs, folds[1]))
+    return runs
+
+
+def _execute_cell(series: TimeSeries, cfg: ExperimentConfig, specs: Sequence[SplitSpec]) -> list:
+    """One cell's runs, as `_run_cell` gives them; module-level so worker
     processes can pickle it. Errors of any kind come back as values and are
-    re-raised (or recorded) by the parent, so one failing task cannot lose
-    the rest of the grid."""
+    re-raised (or recorded) by the parent, so one failing cell or
+    repetition cannot lose the rest of the grid."""
     try:
-        return _run_once(series, cfg, *task)
+        return _run_cell(series, cfg, specs)
     except Exception as exc:
-        return exc
+        return [exc] * len(specs)
 
 
 def environment(workers: int) -> dict:
@@ -266,14 +349,19 @@ def run_experiment(
 
     Each repetition of each cell is one run: split, audit every fold (a
     contaminated clean fold aborts the whole experiment regardless of
-    keep_going), train all folds together, predict on test, RMSE. A cell's
-    run RMSE under k-fold is the mean of its per-fold test RMSEs. Cell
-    failures abort unless keep_going, in which case they are recorded in
-    report.errors; a worker process that dies fails the tasks it took down
-    and those not yet started, and the results that came back are kept. A
-    null base_seed is replaced by one drawn seed, which the provenance
-    config records (with base_seed_drawn true). The provenance also records
-    the environment (`environment`). `workers` must be >= 1.
+    keep_going), fit every fold, predict on test, RMSE. A cell's run RMSE
+    under k-fold is the mean of its per-fold test RMSEs. One task runs a
+    whole cell (`_run_cell`): it splits and audits each distinct split
+    once, scores a baseline once per split, and trains the LSTM folds of
+    all repetitions in shared `train_many` stacks; reports are as if each
+    run were made alone. A failing run aborts unless keep_going, in which
+    case report.errors records it, one line per (cell, repetition). With
+    `workers` > 1, a worker process that dies breaks the pool: each cell
+    not finished by then runs once more in a fresh one-worker pool, and
+    fails only if it kills that worker too. A null base_seed is replaced by
+    one drawn seed, which the provenance config records (with
+    base_seed_drawn true). The provenance also records the environment
+    (`environment`). `workers` must be >= 1.
     """
     if workers < 1:
         raise LeakbenchError(f"workers must be >= 1, got {workers}")
@@ -282,37 +370,48 @@ def run_experiment(
         cfg = replace(cfg, base_seed=secrets.randbits(63))
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     grid = grid_splits(cfg)
-    tasks = [(rep, spec) for specs in grid for rep, spec in enumerate(specs)]
 
-    execute = partial(_execute_task, series, cfg)
+    execute = partial(_execute_cell, series, cfg)
     if workers > 1:
         # Imported here: multiprocessing adds 0.5 MB to every serial run.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
+        from contextlib import ExitStack
 
-        completed = []
+        completed: list = [None] * len(grid)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute, task) for task in tasks]
-            for future in futures:
+            futures = [pool.submit(execute, specs) for specs in grid]
+            for i, future in enumerate(futures):
                 try:
-                    completed.append(future.result())
-                except BrokenProcessPool as exc:
-                    # A worker died (a signal, out of memory): the tasks it
-                    # took down and those not yet started fail like any
-                    # other task.
-                    completed.append(exc)
+                    completed[i] = future.result()
+                except BrokenProcessPool:
+                    pass  # a worker died (a signal, out of memory)
+        # A dead worker breaks the whole pool, so each unfinished cell runs
+        # once more in a fresh one-worker pool, at most `workers` at a time:
+        # only a cell that kills its worker again fails.
+        unfinished = [i for i, runs in enumerate(completed) if runs is None]
+        for start in range(0, len(unfinished), workers):
+            batch = unfinished[start:start + workers]
+            with ExitStack() as pools:
+                futures = [
+                    pools.enter_context(ProcessPoolExecutor(max_workers=1)).submit(execute, grid[i])
+                    for i in batch
+                ]
+                for i, future in zip(batch, futures):
+                    try:
+                        completed[i] = future.result()
+                    except BrokenProcessPool as exc:
+                        completed[i] = [exc] * len(grid[i])
     else:
-        completed = [execute(t) for t in tasks]
+        completed = [execute(specs) for specs in grid]
 
-    # Results come back in task order, so each cell's repetitions are
-    # consecutive and ordered by rep.
     errors: list[str] = []
     cell_results = []
     reps = cfg.repetitions
-    for i, specs in enumerate(grid):
+    for specs, cell_runs in zip(grid, completed):
         window, lag, plan, mode = cell_key(specs[0])
         runs = []
-        for rep, outcome in enumerate(completed[i * reps:(i + 1) * reps]):
+        for rep, outcome in enumerate(cell_runs):
             if isinstance(outcome, ContaminationError):
                 raise outcome
             if isinstance(outcome, Exception):

@@ -119,6 +119,13 @@ class SplitSpec(Record):
                 "destroys the contiguity that post-split windowing needs"
             )
 
+    @property
+    def seed_read(self) -> int | None:
+        """The seed `split` reads: the pair permutation's under random
+        order, none under sequential order. Specs that differ only in an
+        unread seed give the same split."""
+        return self.seed if self.order == ORDER_RANDOM else None
+
 
 @dataclass(frozen=True, eq=False)
 class SplitResult:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,3 +27,10 @@ def test_layers_script_times_every_layer_of_each_tree():
         }
         for timing in layers.values():
             assert 0 < timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]
+    # Each tree after the first against the first, layer by layer.
+    assert set(report["ratios"]) == {"b"}
+    assert set(report["ratios"]["b"]) == set(report["trees"]["a"])
+    for name, ratio in report["ratios"]["b"].items():
+        medians = report["trees"]["b"][name]["median_us"] / report["trees"]["a"][name]["median_us"]
+        assert ratio["ratio_of_medians"] == pytest.approx(medians)
+        assert 0 < ratio["q1_ratio"] <= ratio["median_ratio"] <= ratio["q3_ratio"]

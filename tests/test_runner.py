@@ -7,19 +7,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import leakbench.runner as runner_mod
 from leakbench.errors import ContaminationError, LeakbenchError, SplitError
-from leakbench.forecaster import TrainConfig
+from leakbench.forecaster import TrainConfig, baseline_linear_ar, predict, train
+from leakbench.metrics import rmse
 from leakbench.runner import (
     CELL_CSV_HEADER,
     ExperimentConfig,
     ExperimentReport,
+    cell_key,
     derive_seed,
     emit_report,
+    grid_splits,
     load_report,
     recompute_gains,
     run_experiment,
 )
-from leakbench.splitting import SplitPlan
+from leakbench.series import load_csv
+from leakbench.splitting import SplitPlan, split
 from leakbench.synthetic import write_reference_csv
 
 
@@ -122,6 +127,19 @@ class TestDeriveSeed:
         assert derive_seed(None, "anything") is None
 
 
+def patch_forked_cells(monkeypatch, fake_run_cell):
+    """Make every worker run `fake_run_cell(real_run_cell, series, cfg,
+    specs)` in place of `_run_cell`: forked workers inherit the patch."""
+    import concurrent.futures
+    import multiprocessing
+    from functools import partial
+
+    monkeypatch.setattr(runner_mod, "_run_cell", partial(fake_run_cell, runner_mod._run_cell))
+    fork = multiprocessing.get_context("fork")
+    pool = partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+
+
 class TestRunExperiment:
     def test_persistence_grid_shape(self, climate_csv):
         cfg = base_config(climate_csv, plans=(SplitPlan.two_way(), SplitPlan.k_fold(4)))
@@ -184,14 +202,14 @@ class TestRunExperiment:
     def test_keep_going_isolates_any_task_exception(self, climate_csv, monkeypatch):
         import leakbench.runner as runner_mod
 
-        real_score = runner_mod._score_folds
+        real_score = runner_mod._baseline_scores
 
-        def failing_for_w7(cfg, results, train_seeds):
+        def failing_for_w7(cfg, results):
             if results[0].test.config.window_size == 7:
                 raise ValueError("numpy trouble")
-            return real_score(cfg, results, train_seeds)
+            return real_score(cfg, results)
 
-        monkeypatch.setattr(runner_mod, "_score_folds", failing_for_w7)
+        monkeypatch.setattr(runner_mod, "_baseline_scores", failing_for_w7)
         cfg = base_config(climate_csv, windows=(5, 7))
         report = run_experiment(cfg, keep_going=True)
         assert {c.window for c in report.cells} == {5}
@@ -201,27 +219,16 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_killed_worker_fails_its_tasks_and_keeps_the_rest(self, climate_csv, monkeypatch):
-        import concurrent.futures
-        import multiprocessing
         import os
         import time
-        from functools import partial
 
-        import leakbench.runner as runner_mod
-
-        real_run_once = runner_mod._run_once
-
-        def killed_on_w7(series, cfg, rep, spec):
-            if spec.window.window_size == 7:
+        def killed_on_w7(real_run_cell, series, cfg, specs):
+            if specs[0].window.window_size == 7:
                 time.sleep(0.5)  # the W=5 results come back first
                 os._exit(1)
-            return real_run_once(series, cfg, rep, spec)
+            return real_run_cell(series, cfg, specs)
 
-        # Forked workers inherit the patched _run_once.
-        fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(runner_mod, "_run_once", killed_on_w7)
-        pool = partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        patch_forked_cells(monkeypatch, killed_on_w7)
         cfg = base_config(climate_csv, windows=(5, 7))
         report = run_experiment(cfg, workers=2, keep_going=True)
         assert {c.window for c in report.cells} == {5}
@@ -229,6 +236,26 @@ class TestRunExperiment:
         assert all("W=7" in e and "BrokenProcessPool" in e for e in report.errors)
         with pytest.raises(SplitError, match="W=7.*BrokenProcessPool"):
             run_experiment(cfg, workers=2)
+
+    def test_worker_killed_once_loses_no_cell(self, climate_csv, monkeypatch, tmp_path):
+        import os
+
+        marker = tmp_path / "killed"
+
+        def killed_once_on_w7(real_run_cell, series, cfg, specs):
+            if specs[0].window.window_size == 7 and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return real_run_cell(series, cfg, specs)
+
+        patch_forked_cells(monkeypatch, killed_once_on_w7)
+        cfg = base_config(climate_csv, windows=(5, 7, 9))
+        report = run_experiment(cfg, workers=2)
+        assert marker.exists()
+        assert not report.errors
+        serial = run_experiment(cfg)
+        assert [c.to_dict() for c in report.cells] == [c.to_dict() for c in serial.cells]
+        assert len(report.cells) == 6
 
     def test_workers_below_one_rejected(self, climate_csv):
         for workers in (0, -2):
@@ -320,6 +347,104 @@ class TestRunExperiment:
         b = run_experiment(cfg, workers=2)
         for ca, cb in zip(a.cells, b.cells):
             assert ca.run_rmses == cb.run_rmses
+
+
+class TestCellTask:
+    """A task is one cell: each distinct split is made, audited and (for a
+    baseline) scored once, and the LSTM folds of all repetitions train in
+    shared `train_many` stacks."""
+
+    @pytest.mark.parametrize("cap", [2, runner_mod.STACK_CAP])
+    def test_stacked_repetitions_match_folds_trained_alone(self, climate_csv, monkeypatch, cap):
+        monkeypatch.setattr(runner_mod, "STACK_CAP", cap)
+        cfg = base_config(
+            climate_csv, model="lstm", hidden_size=4, repetitions=3,
+            plans=(SplitPlan.two_way(), SplitPlan.three_way()),
+            train=TrainConfig(epochs=3, early_stopping=True, patience=2),
+        )
+        series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
+        for specs in grid_splits(cfg):
+            runs = runner_mod._run_cell(series, cfg, specs)
+            for rep, (spec, (run_rmse, epochs, _)) in enumerate(zip(specs, runs)):
+                rmses, fold_epochs = [], []
+                for res in split(series, spec):
+                    seed = derive_seed(cfg.base_seed, *cell_key(spec), rep, res.fold_index,
+                                       "train")
+                    out = train(res.train, res.val, cfg.train, cfg.hidden_size, seed=seed)
+                    rmses.append(rmse(predict(out.model, out.scaler, res.test),
+                                      res.test.targets()))
+                    fold_epochs.append((out.optimal_epoch, out.last_epoch))
+                assert run_rmse == float(np.mean(rmses))
+                assert epochs == tuple(np.mean(fold_epochs, axis=0).tolist())
+            # Every repetition trains on its own seeds.
+            assert len({run[0] for run in runs}) == cfg.repetitions
+
+    def test_random_order_splits_each_repetition(self, climate_csv):
+        cfg = base_config(climate_csv, model="linear_ar", modes=("leaky",), order="random",
+                          repetitions=3)
+        series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
+        (cell,) = run_experiment(cfg).cells
+        (specs,) = grid_splits(cfg)
+        assert len(set(cell.run_rmses)) == cfg.repetitions
+        for run_rmse, spec in zip(cell.run_rmses, specs):
+            folds = split(series, spec)
+            assert run_rmse == float(np.mean([
+                rmse(baseline_linear_ar(res.train, res.test), res.test.targets())
+                for res in folds
+            ]))
+
+    def test_sequential_repetitions_share_one_split_and_fit(self, climate_csv, monkeypatch):
+        calls = {"split": 0, "fit": 0}
+        real_split, real_fit = runner_mod.split, runner_mod.baseline_linear_ar
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(runner_mod, "split", counted("split", real_split))
+        monkeypatch.setattr(runner_mod, "baseline_linear_ar", counted("fit", real_fit))
+        cfg = base_config(climate_csv, model="linear_ar", repetitions=4,
+                          plans=(SplitPlan.two_way(), SplitPlan.k_fold(3)))
+        report = run_experiment(cfg)
+        assert calls == {"split": 4, "fit": 2 * (1 + 3)}  # one per cell, one per fold
+        assert all(len(set(c.run_rmses)) == 1 and c.stats.n_runs == 4 for c in report.cells)
+
+    def test_failing_repetition_fails_alone(self, climate_csv, monkeypatch):
+        from leakbench.errors import TrainingError
+
+        cfg = base_config(climate_csv, model="lstm", hidden_size=4, repetitions=3,
+                          train=TrainConfig(epochs=1))
+        _, clean = grid_splits(cfg)
+        doomed = derive_seed(cfg.base_seed, *cell_key(clean[1]), 1, 0, "train")
+        real_train_many = runner_mod.train_many
+
+        def one_diverges(jobs, train_cfg, hidden_size):
+            outcomes = real_train_many(jobs, train_cfg, hidden_size)
+            return [TrainingError("training diverged at epoch 1 (loss=nan)")
+                    if seed == doomed else out for (_, _, seed), out in zip(jobs, outcomes)]
+
+        monkeypatch.setattr(runner_mod, "train_many", one_diverges)
+        report = run_experiment(cfg, keep_going=True)
+        assert report.errors == (
+            "cell W=5 L=1 plan=2-way mode=clean rep=1: training diverged at epoch 1 (loss=nan)",
+        )
+        assert [c.mode for c in report.cells] == ["leaky"]
+
+    @pytest.mark.parametrize("model", ["persistence", "lstm"])
+    def test_failed_split_fails_every_repetition(self, climate_csv, model):
+        cfg = base_config(climate_csv, model=model, hidden_size=4, windows=(5, 2000),
+                          modes=("clean",), repetitions=3)
+        report = run_experiment(cfg, keep_going=True)
+        series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
+        with pytest.raises(SplitError) as failed:
+            split(series, grid_splits(cfg)[1][0])
+        assert report.errors == tuple(
+            f"cell W=2000 L=1 plan=2-way mode=clean rep={rep}: {failed.value}"
+            for rep in range(3)
+        )
+        assert [c.window for c in report.cells] == [5]
 
 
 class TestPhaseShapes:
