@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage problems exit 1, data/split
 problems exit 2, and a contaminated clean split exits 3.
 """
 
+from contextlib import contextmanager
+
 
 class LeakbenchError(Exception):
     """Base class for all harness errors."""
@@ -11,6 +13,16 @@ class LeakbenchError(Exception):
 
 class DataError(LeakbenchError):
     """Raised when input data cannot be loaded or violates series invariants."""
+
+
+@contextmanager
+def reading(path):
+    """Turn an OSError or UnicodeDecodeError raised in the block, as from a
+    directory or a file that is not UTF-8, into a DataError naming `path`."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
 
 
 class WindowError(LeakbenchError):

@@ -93,8 +93,8 @@ class LstmModel:
         are drawn gate by gate in the order (i, f, g, o), not the row order,
         then the head; seeded results depend on this draw order."""
         h = hidden_size
+        model = cls(h)  # validates h before k divides by it
         k = 1.0 / np.sqrt(h)
-        model = cls(h)
         views = unpack(model.theta, h)
         for gate in "ifgo":
             views[f"w_{gate}"][:] = rng.uniform(-k, k, size=(h, 1 + h))

@@ -157,21 +157,6 @@ def rmse_gain(clean: float, leaky: float) -> tuple[float, str]:
     return gain, ("up" if gain > 0 else "down")
 
 
-def make_gain_record(
-    window: int, lag: int, plan: str, clean: float, leaky: float
-) -> GainRecord:
-    gain, direction = rmse_gain(clean, leaky)
-    return GainRecord(
-        window=window,
-        lag=lag,
-        plan=plan,
-        rmse_clean=clean,
-        rmse_leaky=leaky,
-        gain_percent=gain,
-        direction=direction,
-    )
-
-
 def plan_sort_key(plan_label: str) -> int:
     """Plan order 2-way, 3-way, k-fold: the one ordering of plan labels."""
     return {"2-way": 0, "3-way": 1}.get(plan_label, 2)

@@ -11,6 +11,7 @@ it, so the run can be replayed.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import numbers
@@ -28,7 +29,7 @@ import scipy
 
 from . import __version__
 from .audit import AuditReport, audit
-from .errors import ContaminationError, DataError, LeakbenchError, SplitError
+from .errors import ContaminationError, DataError, LeakbenchError, SplitError, reading
 from .forecaster import (
     TrainConfig,
     TrainOutcome,
@@ -42,9 +43,9 @@ from .metrics import (
     RunStats,
     aggregate,
     leakage_rank,
-    make_gain_record,
     plan_sort_key,
     rmse,
+    rmse_gain,
 )
 from .records import Record
 from .series import TimeSeries, load_csv
@@ -66,7 +67,8 @@ def _read_json(p: Path, missing: str):
     if not p.exists():
         raise LeakbenchError(f"{missing}: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        with reading(p):
+            return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise LeakbenchError(f"{p}: invalid JSON: {exc}") from exc
 
@@ -92,8 +94,9 @@ class ExperimentConfig(Record):
     base_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise LeakbenchError(f"repetitions must be >= 1, got {self.repetitions}")
+        for label in ("repetitions", "hidden_size"):
+            if getattr(self, label) < 1:
+                raise LeakbenchError(f"{label} must be >= 1, got {getattr(self, label)}")
         for grid, label in ((self.windows, "windows"), (self.lags, "lags"),
                             (self.plans, "plans"), (self.modes, "modes")):
             if not grid:
@@ -218,97 +221,76 @@ def _audited_split(series: TimeSeries, spec: SplitSpec) -> tuple[list[SplitResul
     return results, audits
 
 
-def _baseline_scores(cfg: ExperimentConfig, results: list[SplitResult]) -> tuple[list[float], None]:
-    """The test RMSE of each fold under the persistence or linear AR
-    baseline, and no epochs."""
-    if cfg.model == "persistence":
-        predictions = [baseline_persistence(res.test) for res in results]
-    else:
-        predictions = [baseline_linear_ar(res.train, res.test) for res in results]
-    return [rmse(p, res.test.targets()) for p, res in zip(predictions, results)], None
+def _run_key(cfg: ExperimentConfig, spec: SplitSpec, rep: int) -> tuple:
+    """The seeds a repetition's run reads: its split's (`seed_read`) and,
+    for the LSTM, its own train seeds, named by `rep`. A baseline reads
+    none, so repetitions that share a split share one run and one fit."""
+    return spec.seed_read, (rep if cfg.model == "lstm" else None)
 
 
-def _fold_score(out: TrainOutcome, res: SplitResult) -> tuple[float, tuple[int, int]]:
-    """A trained fold's test RMSE and its (optimal, last) epoch."""
-    return (
-        rmse(predict(out.model, out.scaler, res.test), res.test.targets()),
-        (out.optimal_epoch, out.last_epoch),
-    )
+def _fold_score(cfg: ExperimentConfig, res: SplitResult, out: TrainOutcome | None) -> tuple:
+    """A fold's test RMSE and (optimal, last) epoch, from the trained LSTM
+    `out`, or from a baseline, which has no epochs."""
+    if cfg.model == "lstm":
+        return (rmse(predict(out.model, out.scaler, res.test), res.test.targets()),
+                (out.optimal_epoch, out.last_epoch))
+    predictions = (baseline_persistence(res.test) if cfg.model == "persistence"
+                   else baseline_linear_ar(res.train, res.test))
+    return rmse(predictions, res.test.targets()), None
 
 
-def _lstm_scores(cfg: ExperimentConfig, specs: Sequence[SplitSpec], splits: list) -> list:
-    """Per repetition with a split, its fold RMSEs and each fold's (optimal,
-    last) epoch, or its error; None for a repetition without a split. The
-    folds of all repetitions train in `train_many` stacks of at most
-    STACK_CAP models, each fold on its own derived seed, so a model's
-    numbers do not depend on its stack. Each stack's models are scored and
-    dropped before the next trains."""
-    jobs = [
-        (rep, res, derive_seed(cfg.base_seed, *cell_key(spec), rep, res.fold_index, "train"))
-        for rep, (spec, folds) in enumerate(zip(specs, splits))
-        if not isinstance(folds, Exception)
-        for res in folds[0]
-    ]
-    train_errors: list[list] = [[] for _ in specs]
-    fold_scores: list[list] = [[] for _ in specs]  # a score or a prediction error
+def _fit_scores(cfg: ExperimentConfig, runs: dict) -> dict:
+    """Per run key, the run's mean fold RMSE and mean (optimal, last) epoch,
+    or the first error of its split (a run that failed to split is one) and
+    folds. All runs' jobs go in chunks of at most STACK_CAP, in order: one
+    `train_many` stack for the LSTM, scored and dropped before the next
+    trains, and no call for a baseline."""
+    scores = {key: [run] if isinstance(run, Exception) else [] for key, run in runs.items()}
+    jobs = [(key, *job) for key, run in runs.items() if not isinstance(run, Exception)
+            for job in run]
     for start in range(0, len(jobs), STACK_CAP):
         stack = jobs[start:start + STACK_CAP]
-        outcomes = _attempt(
-            train_many, [(res.train, res.val, seed) for _, res, seed in stack],
-            cfg.train, cfg.hidden_size,
-        )
-        for i, (rep, res, _) in enumerate(stack):
-            out = outcomes if isinstance(outcomes, Exception) else outcomes[i]
-            if isinstance(out, Exception):
-                train_errors[rep].append(out)
-            else:
-                fold_scores[rep].append(_attempt(_fold_score, out, res))
-    scores = []
-    for errors, rep_scores in zip(train_errors, fold_scores):
-        # A training error comes first: the error that training every fold,
-        # then predicting each, raises.
-        errors = errors + [s for s in rep_scores if isinstance(s, Exception)]
-        if errors or not rep_scores:
-            scores.append(errors[0] if errors else None)
+        trained = [None] * len(stack)
+        if cfg.model == "lstm":
+            trained = _attempt(train_many, [(res.train, res.val, seed) for _, res, seed in stack],
+                               cfg.train, cfg.hidden_size)
+        for i, (key, res, _) in enumerate(stack):
+            out = trained if isinstance(trained, Exception) else trained[i]
+            scores[key].append(out if isinstance(out, Exception)
+                               else _attempt(_fold_score, cfg, res, out))
+    for key, folds in scores.items():
+        errors = [s for s in folds if isinstance(s, Exception)]
+        if errors:
+            scores[key] = errors[0]
         else:
-            rmses, epochs = zip(*rep_scores)
-            scores.append((list(rmses), list(epochs)))
+            rmses, epochs = zip(*folds)
+            scores[key] = (float(np.mean(rmses)),
+                           None if epochs[0] is None else tuple(np.mean(epochs, axis=0).tolist()))
     return scores
 
 
 def _run_cell(series: TimeSeries, cfg: ExperimentConfig, specs: Sequence[SplitSpec]) -> list:
-    """Every repetition of one cell: its mean fold RMSE, its mean (optimal,
-    last) epoch (None for the baselines) and the audit of every fold, or the
-    exception that failed it.
-
-    A split is made and audited once per seed it reads (`seed_read`), so
-    under sequential order all repetitions share one. A baseline's fit reads
-    no seed, so it is scored once per distinct split; the LSTM trains every
-    repetition's folds on their own seeds."""
-    splits = {}
-    for spec in specs:
+    """Every repetition of one cell: its mean fold RMSE, mean (optimal,
+    last) epoch (None for a baseline) and fold audits, or the exception that
+    failed it: its split's error, else its first failing fold's, in fold
+    order. Each distinct split (`seed_read`) is made and audited once, and
+    each distinct run (`_run_key`) is built and scored once."""
+    splits: dict = {}
+    runs: dict = {}  # run key -> its split's error or its (fold, train seed) jobs
+    keys = [_run_key(cfg, spec, rep) for rep, spec in enumerate(specs)]
+    for rep, (spec, key) in enumerate(zip(specs, keys)):
         if spec.seed_read not in splits:
             splits[spec.seed_read] = _attempt(_audited_split, series, spec)
-    rep_splits = [splits[spec.seed_read] for spec in specs]
-    if cfg.model == "lstm":
-        scores = _lstm_scores(cfg, specs, rep_splits)
-    else:
-        scored = {
-            key: _attempt(_baseline_scores, cfg, folds[0])
-            for key, folds in splits.items()
-            if not isinstance(folds, Exception)
-        }
-        scores = [scored.get(spec.seed_read) for spec in specs]
-    runs = []
-    for folds, score in zip(rep_splits, scores):
-        failure = folds if isinstance(folds, Exception) else score
-        if isinstance(failure, Exception):
-            runs.append(failure)
-            continue
-        rmses, epochs = score
-        mean_epochs = None if epochs is None else tuple(np.mean(epochs, axis=0).tolist())
-        runs.append((float(np.mean(rmses)), mean_epochs, folds[1]))
-    return runs
+        folds = splits[spec.seed_read]
+        if key not in runs:
+            runs[key] = folds if isinstance(folds, Exception) else [
+                (res, None if key[1] is None else derive_seed(
+                    cfg.base_seed, *cell_key(spec), rep, res.fold_index, "train"))
+                for res in folds[0]
+            ]
+    scores = _fit_scores(cfg, runs)
+    return [scores[key] if isinstance(scores[key], Exception)
+            else (*scores[key], splits[key[0]][1]) for key in keys]
 
 
 def _execute_cell(series: TimeSeries, cfg: ExperimentConfig, specs: Sequence[SplitSpec]) -> list:
@@ -351,11 +333,12 @@ def run_experiment(
     contaminated clean fold aborts the whole experiment regardless of
     keep_going), fit every fold, predict on test, RMSE. A cell's run RMSE
     under k-fold is the mean of its per-fold test RMSEs. One task runs a
-    whole cell (`_run_cell`): it splits and audits each distinct split
-    once, scores a baseline once per split, and trains the LSTM folds of
-    all repetitions in shared `train_many` stacks; reports are as if each
-    run were made alone. A failing run aborts unless keep_going, in which
-    case report.errors records it, one line per (cell, repetition). With
+    whole cell (`_run_cell`): it splits and audits each distinct split once
+    and fits each distinct run once (a baseline once per split, the LSTM
+    once per repetition, its folds in shared `train_many` stacks); reports
+    are as if each run were made alone. A failing run aborts unless
+    keep_going, in which case report.errors records it, one line per
+    (cell, repetition), with its split's or first failing fold's error. With
     `workers` > 1, a worker process that dies breaks the pool: each cell
     not finished by then runs once more in a fresh one-worker pool, and
     fails only if it kills that worker too. A null base_seed is replaced by
@@ -467,7 +450,7 @@ def _ranked_gains(means: dict[tuple, tuple[float, float]]) -> list[GainRecord]:
     for window, lag, plan in sorted(means, key=lambda k: (k[0], k[1], plan_sort_key(k[2]))):
         clean, leaky = means[(window, lag, plan)]
         groups.setdefault((window, lag), []).append(
-            make_gain_record(window, lag, plan, clean=clean, leaky=leaky)
+            GainRecord(window, lag, plan, clean, leaky, *rmse_gain(clean, leaky))
         )
     return [r for key in sorted(groups) for r in leakage_rank(groups[key])]
 
@@ -569,15 +552,13 @@ def load_report(path: str | Path) -> ExperimentReport:
 def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRecord]:
     """Rebuild gain records from two previously written cells.csv files,
     matching (window, lag, plan) between clean rows and leaky rows."""
-    import csv as _csv
-
     def read_means(path: str | Path, mode: str) -> dict[tuple, float]:
         p = Path(path)
         if not p.exists():
             raise LeakbenchError(f"no such report file: {p}")
         means: dict[tuple, float] = {}
-        with open(p, newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
+        with reading(p), open(p, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
             for col in ("window", "lag", "plan", "mode", "mean"):
                 if col not in (reader.fieldnames or ()):
                     raise DataError(f"{p}: missing column '{col}' (have {reader.fieldnames})")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +93,7 @@ def load_csv(path: str | Path, value_column: str, date_column: str = "date") -> 
     if not p.exists():
         raise DataError(f"no such file: {p}")
     rows: list[tuple[date, float]] = []
-    with open(p, newline="", encoding="utf-8-sig") as fh:
+    with reading(p), open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{p}: no data rows")

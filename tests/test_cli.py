@@ -128,6 +128,15 @@ class TestRun:
         assert "grid list 'plans' repeats '2-way'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_hidden_size_below_one_is_data_error(self, tmp_path, climate_csv, capsys):
+        # Before, the config loaded, all its cells split and audited, and then
+        # every repetition failed (with --keep-going: exit 0, no cells).
+        cfg = write_config(tmp_path, climate_csv, model="lstm", hidden_size=0)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--keep-going", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: hidden_size must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -144,6 +153,26 @@ class TestRun:
         rows = (out / "cells.csv").read_text().splitlines()[1:]
         assert sorted(row.split(",")[4] for row in rows) == ["clean", "leaky"]
         assert all(row.split(",")[1] == "5" for row in rows)
+
+
+class TestUnreadableInput:
+    """An input that is a directory or not UTF-8 exits 2 with an error
+    naming it, not with a traceback."""
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read: ")
+
+    @pytest.mark.parametrize("command, files", [
+        ("audit", 1), ("stats", 1), ("gain", 2),
+    ])
+    def test_non_utf8_file(self, tmp_path, capsys, command, files):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("date,meantemp\n2020-01-01,1.5 \u00b0C\n".encode("latin-1"))
+        assert main([command, *[str(p)] * files]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: cannot read: ")
+        assert "can't decode byte 0xb0" in err
 
 
 class TestAudit:

@@ -128,6 +128,12 @@ class TestParameterLayout:
         counts = np.bincount(model.theta.astype(int), minlength=len(views) + 1)
         assert counts.tolist() == [0] + [v.size for v in views.values()]
 
+    @pytest.mark.filterwarnings("error")
+    def test_initialize_rejects_hidden_size_below_one_before_dividing(self):
+        # Before, 1/sqrt(0) warned of a division by zero first.
+        with pytest.raises(TrainingError, match="hidden_size must be >= 1, got 0"):
+            LstmModel.initialize(0, np.random.default_rng(0))
+
     def test_block_order(self):
         # H=2: each gate block is 2 rows of 1+H=3 entries, stacked (i, f, o, g)
         views = unpack(np.arange(float(LstmModel(2).theta.size)), 2)

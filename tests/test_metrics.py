@@ -19,10 +19,10 @@ from leakbench.metrics import (
     _t975,
     aggregate,
     leakage_rank,
-    make_gain_record,
     rmse,
     rmse_gain,
 )
+from leakbench.runner import _ranked_gains
 from leakbench.splitting import SplitPlan
 
 T_975_DF1 = 12.706204736174698  # two-sided 95% quantile, 1 degree of freedom
@@ -269,6 +269,10 @@ class TestLeakageRank:
         with pytest.raises(LeakbenchError):
             leakage_rank([])
 
-    def test_make_gain_record_round_trip(self):
-        rec = make_gain_record(10, 2, "10-fold", clean=2.0868, leaky=1.6841)
+    def test_ranked_gain_record_round_trip(self):
+        (rec,) = _ranked_gains({(10, 2, "10-fold"): (2.0868, 1.6841)})
+        assert (rec.window, rec.lag, rec.plan, rec.rmse_clean, rec.rmse_leaky) == (
+            10, 2, "10-fold", 2.0868, 1.6841)
+        assert (rec.gain_percent, rec.direction, rec.leakage_rank) == (
+            *rmse_gain(2.0868, 1.6841), 1)
         assert GainRecord.from_dict(rec.to_dict()) == rec

@@ -75,6 +75,11 @@ class TestExperimentConfig:
         with pytest.raises(LeakbenchError, match="non-empty"):
             base_config(climate_csv, windows=())
 
+    @pytest.mark.parametrize("field", ["repetitions", "hidden_size"])
+    def test_count_below_one_rejected(self, climate_csv, field):
+        with pytest.raises(LeakbenchError, match=f"^{field} must be >= 1, got 0$"):
+            base_config(climate_csv, **{field: 0})
+
     def test_unknown_model_rejected(self, climate_csv):
         with pytest.raises(LeakbenchError, match="unknown model"):
             base_config(climate_csv, model="transformer")
@@ -202,14 +207,14 @@ class TestRunExperiment:
     def test_keep_going_isolates_any_task_exception(self, climate_csv, monkeypatch):
         import leakbench.runner as runner_mod
 
-        real_score = runner_mod._baseline_scores
+        real_score = runner_mod._fold_score
 
-        def failing_for_w7(cfg, results):
-            if results[0].test.config.window_size == 7:
+        def failing_for_w7(cfg, res, out):
+            if res.test.config.window_size == 7:
                 raise ValueError("numpy trouble")
-            return real_score(cfg, results)
+            return real_score(cfg, res, out)
 
-        monkeypatch.setattr(runner_mod, "_baseline_scores", failing_for_w7)
+        monkeypatch.setattr(runner_mod, "_fold_score", failing_for_w7)
         cfg = base_config(climate_csv, windows=(5, 7))
         report = run_experiment(cfg, keep_going=True)
         assert {c.window for c in report.cells} == {5}
@@ -431,6 +436,68 @@ class TestCellTask:
             "cell W=5 L=1 plan=2-way mode=clean rep=1: training diverged at epoch 1 (loss=nan)",
         )
         assert [c.mode for c in report.cells] == ["leaky"]
+
+    def test_random_order_failing_fold_fails_its_repetition_alone(self, climate_csv,
+                                                                  monkeypatch):
+        cfg = base_config(climate_csv, model="linear_ar", modes=("leaky",), order="random",
+                          repetitions=3, plans=(SplitPlan.k_fold(3),))
+        series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
+        (specs,) = grid_splits(cfg)
+        doomed = split(series, specs[1])[1].test.starts  # repetition 1, fold 1
+        real_score = runner_mod._fold_score
+
+        def failing_on_doomed(cfg, res, out):
+            if np.array_equal(res.test.starts, doomed):
+                raise ValueError("fold 1 of repetition 1")
+            return real_score(cfg, res, out)
+
+        monkeypatch.setattr(runner_mod, "_fold_score", failing_on_doomed)
+        runs = runner_mod._run_cell(series, cfg, specs)
+        assert str(runs[1]) == "fold 1 of repetition 1"
+        for rep in (0, 2):
+            assert runs[rep][0] == float(np.mean([
+                rmse(baseline_linear_ar(res.train, res.test), res.test.targets())
+                for res in split(series, specs[rep])
+            ]))
+        report = run_experiment(cfg, keep_going=True)
+        assert report.errors == (
+            "cell W=5 L=1 plan=3-fold mode=leaky rep=1: ValueError: fold 1 of repetition 1",
+        )
+
+    @pytest.mark.parametrize("train_fold, predict_fold", [(1, 0), (0, 1)])
+    def test_first_failing_fold_gives_the_error(self, climate_csv, monkeypatch,
+                                                train_fold, predict_fold):
+        # Repetition 1 fails to train one fold and to predict another (the
+        # prediction fails in every repetition, which share one split): its
+        # error is its first failing fold's, whichever way that fold failed.
+        from leakbench.errors import TrainingError
+
+        cfg = base_config(climate_csv, model="lstm", hidden_size=4, modes=("clean",),
+                          plans=(SplitPlan.k_fold(3),), train=TrainConfig(epochs=1))
+        series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
+        (specs,) = grid_splits(cfg)
+        doomed_seed = derive_seed(cfg.base_seed, *cell_key(specs[1]), 1, train_fold, "train")
+        doomed_test = split(series, specs[1])[predict_fold].test.starts
+        real_train_many, real_predict = runner_mod.train_many, runner_mod.predict
+
+        def one_diverges(jobs, train_cfg, hidden_size):
+            outcomes = real_train_many(jobs, train_cfg, hidden_size)
+            return [TrainingError("training diverged at epoch 1 (loss=nan)")
+                    if seed == doomed_seed else out for (_, _, seed), out in zip(jobs, outcomes)]
+
+        def failing_predict(model, scaler, seqs):
+            if np.array_equal(seqs.starts, doomed_test):
+                raise ValueError(f"prediction failed on fold {predict_fold}")
+            return real_predict(model, scaler, seqs)
+
+        monkeypatch.setattr(runner_mod, "train_many", one_diverges)
+        monkeypatch.setattr(runner_mod, "predict", failing_predict)
+        runs = runner_mod._run_cell(series, cfg, specs)
+        assert str(runs[0]) == f"prediction failed on fold {predict_fold}"
+        assert str(runs[1]) == (
+            f"prediction failed on fold {predict_fold}" if predict_fold < train_fold
+            else "training diverged at epoch 1 (loss=nan)"
+        )
 
     @pytest.mark.parametrize("model", ["persistence", "lstm"])
     def test_failed_split_fails_every_repetition(self, climate_csv, model):
