@@ -8,10 +8,12 @@ Each seed is one pair: both checkouts run
 `perfbench/run.py --workload W --seed S --seconds 40 --trace 0` from their
 own tree, and the side that runs first alternates from pair to pair. The
 file keeps each run's JSON result lines with the core count and load
-average from its summary.json, and per workload and end-to-end metric
-(as the change's BENCHMARK.json lists them, with the direction that is
-better) the median and quartiles of each side and the number of pairs the
-change won (ties count for neither side). With `--layers`, it then runs
+average from its summary.json and the `src_digest` of the tree it ran in
+(which names the sources even where perfbench's `commit` is null, as in a
+`git archive` copy), and per workload and end-to-end metric (as the
+change's BENCHMARK.json lists them, with the direction that is better)
+the median and quartiles of each side and the number of pairs the change
+won (ties count for neither side). With `--layers`, it then runs
 `benchmarks/layers.py` on the two source trees and adds its per-layer
 kernel timings under "layers". Needs only the standard library.
 """
@@ -19,6 +21,7 @@ kernel timings under "layers". Needs only the standard library.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -26,6 +29,22 @@ import sys
 from pathlib import Path
 
 SECONDS = 40
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 over the sorted relative paths and bytes of `tree`'s
+    src/**/*.py: equal for two trees whose package sources are equal."""
+    h = hashlib.sha256()
+    src = tree / "src"
+    for path in sorted(src.rglob("*.py"), key=lambda p: p.relative_to(src).as_posix()):
+        name = path.relative_to(src).as_posix().encode("utf-8")
+        body = path.read_bytes()
+        # Length-prefixed, so that no split of bytes between name and body
+        # collides with another.
+        for part in (name, body):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+    return h.hexdigest()
 
 
 def run_side(tree: Path, workload: str, seed: int) -> list[dict]:
@@ -36,6 +55,7 @@ def run_side(tree: Path, workload: str, seed: int) -> list[dict]:
     results = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
     names = [w["name"] for w in json.loads((tree / "BENCHMARK.json").read_text())["workloads"]]
     names = names if workload == "all" else [workload]
+    digest = src_digest(tree)
     records = []
     for name, result in zip(names, results, strict=True):
         summary = tree / ".perfbench_work" / f"{name}-seed{seed}-trace0" / "summary.json"
@@ -44,6 +64,7 @@ def run_side(tree: Path, workload: str, seed: int) -> list[dict]:
             "workload": name,
             "seed": seed,
             "commit": env["commit"],
+            "src_digest": digest,
             "cpu_count": env["cpu_count"],
             "nproc": env["nproc"],
             "loadavg_start": env["loadavg_start"],

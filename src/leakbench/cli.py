@@ -118,9 +118,20 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _out_dir(path: Path) -> Path:
+    """`path`, checked before any work is done: a LeakbenchError names it
+    when it, or its nearest existing parent, is not a directory."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise LeakbenchError(f"output directory {path}: {p} is not a directory")
+            break
+    return path
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out) if args.out else Path("runs") / cfg.name
+    out_dir = _out_dir(Path(args.out) if args.out else Path("runs") / cfg.name)
     report = run_experiment(cfg, workers=args.workers, keep_going=args.keep_going)
     for fmt in ("json", "csv"):
         for path in emit_report(report, out_dir, fmt=fmt):
@@ -136,7 +147,7 @@ def _emit(out: str | None, name: str, body: str) -> None:
     """Write `body` to `name` under the directory `out` and print its path,
     or print `body` itself when there is no `out`."""
     if out:
-        path = Path(out) / name
+        path = _out_dir(Path(out)) / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(body, encoding="utf-8")
         print(path)
@@ -178,7 +189,10 @@ def _cmd_gain(args) -> int:
 
 def _cmd_report(args) -> int:
     report = load_report(args.run_dir)
-    out_dir = Path(args.out) if args.out else Path(args.run_dir)
+    run_dir = Path(args.run_dir)
+    # load_report also takes the report.json file itself
+    default = run_dir if run_dir.is_dir() else run_dir.parent
+    out_dir = _out_dir(Path(args.out) if args.out else default)
     for path in emit_report(report, out_dir, fmt=args.format):
         print(path)
     return EXIT_OK

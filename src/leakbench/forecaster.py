@@ -346,8 +346,10 @@ class TrainConfig(Record):
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
+        # `nan <= 0` is False, so a NaN would pass a bare sign test.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainingError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
         if self.scaling not in SCALING_KINDS:

@@ -12,12 +12,10 @@ it, so the run can be replayed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import numbers
 import os
 import platform
-import secrets
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -51,6 +49,18 @@ from .records import Record
 from .series import TimeSeries, load_csv
 from .splitting import SplitPlan, SplitSpec, SplitResult, split
 from .windowing import WindowConfig
+
+# hashlib and secrets load OpenSSL's libcrypto (~3.6 MB resident); the
+# interpreter's built-in SHA-256 gives the same digests without it. Runs
+# that seed numpy's RNG (the LSTM, random order) still load it, because
+# numpy.random imports secrets.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 MODELS = ("lstm", "persistence", "linear_ar")
 
@@ -153,11 +163,17 @@ class ExperimentReport(Record):
 
 
 def derive_seed(base_seed: int | None, *parts) -> int | None:
-    """Stable per-(cell, repetition) seed; None propagates fresh entropy."""
+    """Stable per-(cell, repetition) seed; None propagates fresh entropy.
+
+    The seed is base_seed XOR the first 8 bytes (big-endian) of the SHA-256
+    of the parts joined by "|", masked to 63 bits. `sha256` is the
+    interpreter's built-in one (`_sha2`/`_sha256`), which digests exactly
+    as `hashlib.sha256` does without loading OpenSSL; hashlib is the
+    fallback where the built-in module is missing."""
     if base_seed is None:
         return None
     key = "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = sha256(key.encode("utf-8")).digest()
     return (int(base_seed) ^ int.from_bytes(digest[:8], "big")) & ((1 << 63) - 1)
 
 
@@ -350,7 +366,7 @@ def run_experiment(
         raise LeakbenchError(f"workers must be >= 1, got {workers}")
     seed_drawn = cfg.base_seed is None
     if seed_drawn:
-        cfg = replace(cfg, base_seed=secrets.randbits(63))
+        cfg = replace(cfg, base_seed=int.from_bytes(os.urandom(8), "big") >> 1)
     series = load_csv(cfg.dataset, cfg.value_column, cfg.date_column)
     grid = grid_splits(cfg)
 

@@ -137,6 +137,19 @@ class TestRun:
         assert capsys.readouterr().err == "error: hidden_size must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_is_data_error(self, tmp_path, climate_csv, capsys, rate):
+        # json.dumps writes the bare NaN/Infinity literals that json.loads reads.
+        # Before, a NaN loaded, every cell split and audited, and then every
+        # repetition diverged (with --keep-going: exit 0, no cells).
+        cfg = write_config(tmp_path, climate_csv, model="lstm",
+                           train={"epochs": 2, "learning_rate": rate})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--keep-going", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be finite and positive, got {rate!r}\n")
+        assert not out.exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -173,6 +186,50 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: cannot read: ")
         assert "can't decode byte 0xb0" in err
+
+
+class TestOutIsAFile:
+    """An --out that names an existing file, or lies under one, exits 2
+    naming it before anything is run or written."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_run_fails_before_the_grid_runs(self, tmp_path, climate_csv, capsys, monkeypatch,
+                                            under):
+        import leakbench.cli as cli_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        out = taken / "sub" if under else taken
+        assert main(["run", write_config(tmp_path, climate_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output directory {out}: {taken} is not a directory\n")
+        assert taken.read_text() == "keep me"
+
+    def test_audit(self, tmp_path, climate_csv, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        assert main(["audit", write_config(tmp_path, climate_csv), "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {taken}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep me"
+
+    def test_gain(self, tmp_path, climate_csv, capsys):
+        run_out = tmp_path / "run-out"
+        assert main(["run", write_config(tmp_path, climate_csv), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        cells = str(run_out / "cells.csv")
+        assert main(["gain", cells, cells, "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {taken}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep me"
 
 
 class TestAudit:
@@ -303,6 +360,19 @@ class TestReport:
         assert main(["report", str(out), "--format", "csv", "--out", str(re_out)]) == 0
         for name in ("cells.csv", "gains.csv", "runs.csv"):
             assert (re_out / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_report_file_reemits_beside_it(self, tmp_path, climate_csv, capsys):
+        # Before, the default output directory was the report.json file
+        # itself: FileExistsError and exit 1.
+        out = tmp_path / "orig"
+        assert main(["run", write_config(tmp_path, climate_csv), "--out", str(out)]) == 0
+        cells = (out / "cells.csv").read_bytes()
+        (out / "cells.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", str(out / "report.json"), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.split() == [
+            str(out / name) for name in ("cells.csv", "gains.csv", "runs.csv")]
+        assert (out / "cells.csv").read_bytes() == cells
 
     def test_json_round_trip(self, tmp_path, climate_csv):
         cfg = write_config(tmp_path, climate_csv)

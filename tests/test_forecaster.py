@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -339,6 +340,16 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=20, early_stopping=True, patience=3, scaling="minmax")
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("0.0", "0.0"),
+    ])
+    def test_learning_rate_must_be_finite_and_positive(self, literal, shown):
+        # json.loads reads the bare NaN/Infinity literals, and `nan <= 0` is False.
+        record = json.loads(f'{{"epochs": 3, "learning_rate": {literal}}}')
+        with pytest.raises(TrainingError,
+                           match=f"^learning_rate must be finite and positive, got {shown}$"):
+            TrainConfig.from_dict(record)
 
 
 class TestTrain:

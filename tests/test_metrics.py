@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +22,8 @@ from leakbench.metrics import (
 )
 from leakbench.runner import _ranked_gains
 from leakbench.splitting import SplitPlan
+
+from conftest import src_env
 
 T_975_DF1 = 12.706204736174698  # two-sided 95% quantile, 1 degree of freedom
 # _t975 against scipy; scipy's stdtrit is itself up to 3.5e-15 off the exact quantile
@@ -152,19 +152,13 @@ def test_t975_closed_forms():
     assert _t975(2) == pytest.approx(0.95 / math.sqrt(2 * 0.975 * 0.025), rel=1e-14)
 
 
-def _src_env() -> dict:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_import_leaves_scipy_special_stats_and_optimize_unloaded():
     code = (
         "import sys, leakbench.cli; "
         "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize', "
         "'multiprocessing') if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -185,7 +179,7 @@ def test_run_leaves_scipy_special_unloaded(tmp_path):
         "print(code, [m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize') "
         "if m in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
     cells = (tmp_path / "out" / "cells.csv").read_text().splitlines()

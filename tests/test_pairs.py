@@ -43,3 +43,31 @@ def test_compare_counts_wins_by_direction_and_reports_quartiles():
     assert run_s["parent"] == pytest.approx({"q1": 1.25, "median": 2.5, "q3": 3.75})
     assert run_s["change"] == pytest.approx({"q1": 0.875, "median": 2.5, "q3": 3.375})
     assert rate["parent"] == pytest.approx({"q1": 10.0, "median": 10.0, "q3": 10.0})
+
+
+def write_tree(root, files):
+    for rel, body in files.items():
+        path = root / "src" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(body)
+    return root
+
+
+SOURCES = {"pkg/__init__.py": b"", "pkg/a.py": b"x = 1\n", "pkg/sub/b.py": b"y = 2\n"}
+
+
+def test_src_digest_names_the_package_sources(tmp_path):
+    base = pairs.src_digest(write_tree(tmp_path / "base", SOURCES))
+    assert len(base) == 64
+    # the same sources written in another order, with non-.py files beside them
+    twin = write_tree(tmp_path / "twin", dict(reversed(SOURCES.items())))
+    (twin / "src" / "pkg" / "notes.txt").write_text("not source")
+    (twin / "README.md").write_text("outside src/")
+    assert pairs.src_digest(twin) == base
+
+    changed = {**SOURCES, "pkg/a.py": b"x = 2\n"}
+    changed = pairs.src_digest(write_tree(tmp_path / "changed", changed))
+    moved = {**SOURCES, "pkg/c.py": SOURCES["pkg/a.py"]}
+    del moved["pkg/a.py"]
+    renamed = pairs.src_digest(write_tree(tmp_path / "renamed", moved))
+    assert len({base, changed, renamed}) == 3

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,8 @@ from leakbench.runner import (
 from leakbench.series import load_csv
 from leakbench.splitting import SplitPlan, split
 from leakbench.synthetic import write_reference_csv
+
+from conftest import src_env
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,53 @@ class TestDeriveSeed:
 
     def test_none_base_seed_propagates(self):
         assert derive_seed(None, "anything") is None
+
+    @pytest.mark.parametrize("base_seed, parts", [
+        (42, (10, 1, "2-way", "leaky", 0, "split")),
+        (7, (5, 1, "10-fold", "clean", 2, None, "train")),
+        (-3, (-1, -20, "3-way", "leaky", -7)),
+        (2**63 - 1, (14, 3, "2-way", "clean", 9, 0, "train")),
+        (2**63 - 2, ("Zeitreihe \u00fc\u00df \u2014 \u6e29\u5ea6", 1)),
+    ])
+    def test_equals_hashlib_sha256(self, base_seed, parts):
+        import hashlib
+
+        key = "|".join(str(p) for p in parts).encode("utf-8")
+        head = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+        assert derive_seed(base_seed, *parts) == (base_seed ^ head) & (2**63 - 1)
+
+    def test_pinned_values(self):
+        # Literal, so that a change of hash function fails even where the
+        # reference above changes with it.
+        assert derive_seed(42, 10, 1, "2-way", "leaky", 0, "split") == 3386665376202097312
+        assert derive_seed(2**63 - 1, 7, 2, "10-fold", "clean", 3, 4, "train") == (
+            8896941277092741002)
+
+
+def test_baseline_run_and_audit_leave_openssl_unloaded(tmp_path, climate_csv):
+    # hashlib and secrets map OpenSSL's libcrypto (~3.6 MB resident). The
+    # LSTM still loads it: numpy.random imports secrets.
+    config = tmp_path / "config.json"
+    payload = base_config(climate_csv).to_dict()
+    code = "\n".join([
+        "import json, sys",
+        "from leakbench.cli import main",
+        "def loaded(): return [m for m in ('_hashlib', 'hashlib', 'secrets') if m in sys.modules]",
+        "print('import', loaded(), file=sys.stderr)",
+        f"config = {str(config)!r}",
+        "for model in ('persistence', 'linear_ar'):",
+        f"    payload = {{**{payload!r}, 'model': model}}",
+        "    open(config, 'w').write(json.dumps(payload))",
+        f"    code = main(['run', config, '--out', {str(tmp_path)!r} + '/' + model])",
+        "    print(model, code, loaded(), file=sys.stderr)",
+        "print('audit', main(['audit', config]), loaded(), file=sys.stderr)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stderr.splitlines() == [
+        "import []", "persistence 0 []", "linear_ar 0 []", "audit 0 []",
+    ]
+    assert (tmp_path / "linear_ar" / "cells.csv").exists()
 
 
 def patch_forked_cells(monkeypatch, fake_run_cell):
@@ -286,6 +337,17 @@ class TestRunExperiment:
         emit_report(report, tmp_path, fmt="json")
         assert load_report(tmp_path).provenance["environment"] == env
 
+    @pytest.mark.parametrize("entropy, drawn", [
+        (b"\x00" * 8, 0), (b"\xff" * 8, 2**63 - 1), (bytes(range(1, 9)), 0x0102030405060708 >> 1),
+    ], ids=["zeros", "ones", "counting"])
+    def test_null_seed_draws_63_bits_from_the_os(self, climate_csv, monkeypatch, entropy, drawn):
+        import os
+
+        monkeypatch.setattr(os, "urandom", lambda n: entropy[:n])
+        report = run_experiment(base_config(climate_csv, base_seed=None))
+        assert report.provenance["config"]["base_seed"] == drawn
+        assert report.provenance["base_seed_drawn"] is True
+
     def test_null_seed_is_drawn_recorded_and_replayable(self, climate_csv, tmp_path):
         cfg = base_config(
             climate_csv, model="lstm", hidden_size=4,
@@ -294,6 +356,7 @@ class TestRunExperiment:
         first = run_experiment(cfg)
         seed = first.provenance["config"]["base_seed"]
         assert isinstance(seed, int) and first.provenance["base_seed_drawn"]
+        assert 0 <= seed < 2**63
         replay = run_experiment(replace(cfg, base_seed=seed))
         assert not replay.provenance["base_seed_drawn"]
         emit_report(first, tmp_path / "first")
