@@ -29,7 +29,6 @@ from .forecaster import (
     baseline_persistence,
     gradient_check,
     predict,
-    train,
     train_many,
     unpack,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "run_experiment",
     "seasonal_decompose",
     "split",
-    "train",
     "train_many",
     "unpack",
     "write_csv",

@@ -55,8 +55,7 @@ def footprint_mask(seqs: SequenceSet, size: int) -> np.ndarray:
 
 def audit(result: SplitResult) -> AuditReport:
     """Intersect the training-side (train + val) and test raw footprints."""
-    sides = [s for s in (result.train, result.val, result.test) if s is not None]
-    size = max(hi for s in sides for _, hi in s.source_range)
+    size = len(result.test.values)
     train_fp = footprint_mask(result.train, size)
     if result.val is not None:
         train_fp |= footprint_mask(result.val, size)

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("csv", help="input CSV file")
     p_stats.add_argument("--value-column", default="meantemp")
     p_stats.add_argument("--date-column", default="date")
-    p_stats.add_argument("--period", type=int, default=365, help="decomposition period in days")
+    p_stats.add_argument("--period", type=positive_int, default=365,
+                         help="decomposition period in days")
 
     p_run = sub.add_parser("run", help="execute a full experiment grid")
     p_run.add_argument("config", help="experiment config (JSON)")
@@ -199,7 +200,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    print(write_reference_csv(args.out_csv))
+    path = Path(args.out_csv)
+    if path.is_dir():
+        raise LeakbenchError(f"output file {path} is a directory")
+    _out_dir(path.parent)
+    print(write_reference_csv(path))
     return EXIT_OK
 
 

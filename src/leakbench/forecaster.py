@@ -385,29 +385,6 @@ class TrainOutcome:
 Job = tuple[SequenceSet, Optional[SequenceSet], Optional[int]]
 
 
-def train(
-    train_set: SequenceSet,
-    val_set: Optional[SequenceSet],
-    cfg: TrainConfig,
-    hidden_size: int,
-    seed: Optional[int] = None,
-) -> TrainOutcome:
-    """Mini-batch Adam on MSE over the (scaled) training pairs.
-
-    The scaler is fitted on the training partition only and applied to all
-    partitions. With early stopping on, the monitor is the validation MSE
-    when `val_set` is given and the epoch training MSE otherwise; training
-    halts after `patience` epochs without improvement and the best-epoch
-    weights are restored. Fully deterministic for a fixed `seed`; None
-    draws fresh entropy. This is `train_many` with one job, whose
-    TrainingError it raises.
-    """
-    (outcome,) = train_many([(train_set, val_set, seed)], cfg, hidden_size)
-    if isinstance(outcome, TrainingError):
-        raise outcome
-    return outcome
-
-
 class _JobState:
     """What one model of `train_many` keeps for itself: its scaled data, its
     RNG, its loss histories and its early-stopping state."""
@@ -487,7 +464,14 @@ def train_many(
     stacked batch with a leading model axis, and return each job's outcome,
     or the TrainingError that failed it, in job order.
 
-    Each model gets bit for bit what `train` on its job alone gives: its
+    A job's scaler is fitted on its training partition only and applied to
+    all its partitions. With early stopping on, the monitor is the
+    validation MSE when `val_set` is given and the epoch training MSE
+    otherwise; training halts after `patience` epochs without improvement
+    and the best-epoch weights are restored. Fully deterministic for a
+    fixed seed; None draws fresh entropy.
+
+    Each model gets bit for bit what its job trained alone (M = 1) gets: its
     own scaler, RNG (the init draw, then one permutation per epoch), loss
     histories and early stopping. At each step the running models are
     grouped by batch size (training sets of different sizes end an epoch

@@ -72,13 +72,13 @@ _CONVENTIONS = {
 
 
 def _read_json(p: Path, missing: str):
-    """The parsed JSON content of file `p`; `missing` begins the error
-    raised when there is no such file."""
+    """The parsed JSON content of file `p` (a leading byte-order mark is
+    skipped); `missing` begins the error raised when there is no such file."""
     if not p.exists():
         raise LeakbenchError(f"{missing}: {p}")
     try:
         with reading(p):
-            return json.loads(p.read_text(encoding="utf-8"))
+            return json.loads(p.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise LeakbenchError(f"{p}: invalid JSON: {exc}") from exc
 
@@ -566,14 +566,15 @@ def load_report(path: str | Path) -> ExperimentReport:
 
 
 def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRecord]:
-    """Rebuild gain records from two previously written cells.csv files,
-    matching (window, lag, plan) between clean rows and leaky rows."""
+    """Rebuild gain records from two previously written cells.csv files
+    (a leading byte-order mark is skipped), matching (window, lag, plan)
+    between clean rows and leaky rows."""
     def read_means(path: str | Path, mode: str) -> dict[tuple, float]:
         p = Path(path)
         if not p.exists():
             raise LeakbenchError(f"no such report file: {p}")
         means: dict[tuple, float] = {}
-        with reading(p), open(p, newline="", encoding="utf-8") as fh:
+        with reading(p), open(p, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             for col in ("window", "lag", "plan", "mode", "mean"):
                 if col not in (reader.fieldnames or ()):

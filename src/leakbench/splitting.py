@@ -184,7 +184,7 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
     geometry = f"W={window.window_size}, L={window.lag_step}"
     leaky = spec.mode == MODE_LEAKY
     if leaky:
-        full = make_sequences(series.values, window, offset=0)
+        full = make_sequences(series.values, window)
         axis = full.starts
         if not len(axis):
             raise SplitError(f"series of length {n} yields no pairs for {geometry}")
@@ -200,15 +200,9 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
                 starts.sort()
                 part = replace(full, starts=starts)
             else:
-                segments = [
-                    make_sequences(series.values[a:b], window, offset=a) for a, b in ranges
-                ]
-                part = segments[0] if len(segments) == 1 else SequenceSet(
-                    values=series.values[ranges[0][0]:],
-                    starts=np.concatenate([seg.starts for seg in segments]),
-                    source_range=tuple(ranges),
-                    config=window,
-                )
+                part = SequenceSet(series.values, np.concatenate([
+                    np.arange(a, max(a, b - window.target_offset)) for a, b in ranges
+                ]), tuple(ranges), window)
             if not len(part):
                 where = f" (fold {fold})" if plan.kind == K_FOLD else ""
                 if leaky:

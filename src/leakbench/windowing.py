@@ -40,15 +40,15 @@ class WindowConfig(Record):
 
 @dataclass(frozen=True, eq=False)
 class SequenceSet:
-    """Window starts over a read-only values buffer, plus the raw
+    """Window starts over a series' read-only values buffer, plus the raw
     interval(s) that produced them.
 
-    `starts` holds each pair's raw window start t, ascending. `values[0]` is
-    the observation at raw index `source_range[0][0]`, and the buffer runs
-    at least to the last source range's stop; sets cut from one series
-    share its buffer. source_range holds half-open [start, stop) raw-index
-    intervals, and every pair's raw span [t, t+W+L-1] must lie inside one
-    of them. Empty sets are legal.
+    `values` is the whole series: `values[t]` is the observation at raw
+    index t, and sets cut from one series share it. `starts` holds each
+    pair's raw window start t, ascending. source_range holds half-open
+    [start, stop) raw-index intervals inside [0, len(values)], and every
+    pair's raw span [t, t+W+L-1] must lie inside one of them. Empty sets
+    are legal.
     """
 
     values: np.ndarray
@@ -65,6 +65,9 @@ class SequenceSet:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "source_range", ranges)
+        n = values.shape[0]
+        if not all(0 <= lo and hi <= n for lo, hi in ranges):
+            raise WindowError(f"source range {ranges} lies outside the buffer [0, {n}]")
         if np.any(starts[1:] < starts[:-1]):
             raise WindowError("pairs must be ordered by input_start")
         # a pair lies in [lo, hi) when its start and its target do
@@ -85,35 +88,21 @@ class SequenceSet:
         """Raw index t + W + L - 1 of every pair's target."""
         return self.starts + self.config.target_offset
 
-    def _origin(self) -> int:
-        """Raw index of values[0]."""
-        return self.source_range[0][0] if self.source_range else 0
-
     def inputs(self) -> np.ndarray:
         """The (n_pairs, W) matrix of windows, gathered from the buffer."""
-        positions = self.starts - self._origin()
-        return self.values[positions[:, None] + np.arange(self.config.window_size)]
+        return self.values[self.starts[:, None] + np.arange(self.config.window_size)]
 
     def targets(self) -> np.ndarray:
-        return self.values[self.target_indices() - self._origin()]
+        return self.values[self.target_indices()]
 
 
-def make_sequences(
-    values: Sequence[float] | np.ndarray, config: WindowConfig, offset: int = 0
-) -> SequenceSet:
-    """Slide a (W, L) window over a contiguous segment.
+def make_sequences(values: Sequence[float] | np.ndarray, config: WindowConfig) -> SequenceSet:
+    """Slide a (W, L) window over a whole series: pair k has window start k.
 
-    `offset` is the segment's global raw index, so pair k has window start
-    offset + k. The set keeps `values` as its buffer (a view, not a copy,
-    when it already is a float array). A segment shorter than W + L yields
-    an empty set; callers decide whether that is an error.
+    The set keeps `values` as its buffer (a view, not a copy, when it
+    already is a float array). A series shorter than W + L yields an empty
+    set; callers decide whether that is an error.
     """
     vals = np.asarray(values, dtype=float)
     n = vals.shape[0]
-    count = max(0, n - config.window_size - config.lag_step + 1)
-    return SequenceSet(
-        values=vals,
-        starts=np.arange(offset, offset + count),
-        source_range=((offset, offset + n),),
-        config=config,
-    )
+    return SequenceSet(vals, np.arange(max(0, n - config.target_offset)), ((0, n),), config)

@@ -77,6 +77,15 @@ class TestUsage:
         assert "--workers: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("period", ["0", "-3"])
+    def test_period_below_one_exits_1(self, climate_csv, capsys, period):
+        # Before, the statistics were printed, then the decomposition
+        # failed with exit 2.
+        assert main(["stats", climate_csv, "--period", period]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--period: must be >= 1" in captured.err
+
 
 RUN_FILES = {"report.json", "cells.csv", "gains.csv", "runs.csv"}
 
@@ -186,6 +195,44 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: cannot read: ")
         assert "can't decode byte 0xb0" in err
+
+
+def with_bom(path: Path) -> Path:
+    """A copy of `path` beside it that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """Every input file loads with a leading UTF-8 byte-order mark, as
+    series CSVs do."""
+
+    def test_config(self, tmp_path, climate_csv, capsys):
+        cfg = Path(write_config(tmp_path, climate_csv))
+        assert main(["audit", str(cfg)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["audit", str(with_bom(cfg))]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_report_json(self, tmp_path, climate_csv):
+        out = tmp_path / "orig"
+        assert main(["run", write_config(tmp_path, climate_csv), "--out", str(out)]) == 0
+        report = with_bom(out / "report.json")
+        re_out = tmp_path / "re"
+        assert main(["report", str(report), "--format", "csv", "--out", str(re_out)]) == 0
+        for name in ("cells.csv", "gains.csv", "runs.csv"):
+            assert (re_out / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_cells_csv(self, tmp_path, capsys):
+        # The mark sticks to the first column's name when it is not skipped.
+        cells = tmp_path / "cells.csv"
+        cells.write_text("window,lag,plan,mode,mean\n5,1,2-way,clean,1.5\n5,1,2-way,leaky,1.2\n")
+        assert main(["gain", str(cells), str(cells)]) == 0
+        plain = capsys.readouterr().out
+        bom = str(with_bom(cells))
+        assert main(["gain", bom, bom]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestOutIsAFile:
@@ -400,3 +447,18 @@ class TestSynth:
         text = out_csv.read_text().splitlines()
         assert text[0] == "date,meantemp"
         assert len(text) == 1 + 1462
+
+    def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me")
+        assert main(["synth", str(taken / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory {taken}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep me"
+
+    def test_output_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output file {tmp_path} is a directory\n"

@@ -22,7 +22,6 @@ from leakbench.forecaster import (
     gradient_check,
     loss_and_gradients,
     predict,
-    train,
     train_many,
     unpack,
 )
@@ -358,7 +357,7 @@ class TestTrain:
         series = make_series(np.full(50, c))
         seqs = make_sequences(series.values, WindowConfig(4, 1))
         cfg = TrainConfig(epochs=50)
-        outcome = train(seqs, None, cfg, hidden_size=8, seed=3)
+        (outcome,) = train_many([(seqs, None, 3)], cfg, 8)
         preds = predict(outcome.model, outcome.scaler, seqs)
         final_rmse = float(np.sqrt(np.mean((preds - seqs.targets()) ** 2)))
         assert final_rmse < 0.05 * abs(c) + 0.01
@@ -370,7 +369,7 @@ class TestTrain:
         train_seqs = make_sequences([0.0, 0.0, 0.0, 1.0], WindowConfig(3, 1))
         val_seqs = make_sequences([0.0, 0.0, 0.0, -5.0], WindowConfig(3, 1))
         cfg = TrainConfig(epochs=50, early_stopping=True, patience=4, scaling="none")
-        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4, seed=0)
+        (outcome,) = train_many([(train_seqs, val_seqs, 0)], cfg, 4)
         assert outcome.last_epoch == 1 + 4
         assert outcome.optimal_epoch == 1
         monitor = outcome.val_loss_history
@@ -380,8 +379,8 @@ class TestTrain:
         series = make_series(np.sin(np.arange(60.0) / 5.0))
         seqs = make_sequences(series.values, WindowConfig(5, 1))
         cfg = TrainConfig(epochs=4)
-        a = train(seqs, None, cfg, hidden_size=6, seed=11)
-        b = train(seqs, None, cfg, hidden_size=6, seed=11)
+        (a,) = train_many([(seqs, None, 11)], cfg, 6)
+        (b,) = train_many([(seqs, None, 11)], cfg, 6)
         assert a.train_loss_history == b.train_loss_history
         np.testing.assert_array_equal(a.model.theta, b.model.theta)
 
@@ -393,21 +392,24 @@ class TestTrain:
         sub = replace(res.train, starts=res.train.starts[:300])
         firsts, lasts = [], []
         for seed in range(5):
-            out = train(sub, None, TrainConfig(epochs=5), hidden_size=8, seed=seed)
+            (out,) = train_many([(sub, None, seed)], TrainConfig(epochs=5), 8)
             firsts.append(out.train_loss_history[0])
             lasts.append(out.train_loss_history[-1])
         assert np.median(lasts) < np.median(firsts)
 
     def test_empty_training_set_rejected(self):
         empty = make_sequences(np.arange(3.0), WindowConfig(3, 1))
-        with pytest.raises(TrainingError, match="empty training set"):
-            train(empty, None, TrainConfig(epochs=1), hidden_size=4)
+        (out,) = train_many([(empty, None, None)], TrainConfig(epochs=1), 4)
+        assert isinstance(out, TrainingError)
+        assert str(out) == "empty training set"
 
     def test_empty_monitor_set_rejected(self):
         seqs = make_sequences(np.arange(10.0), WindowConfig(3, 1))
         empty = make_sequences(np.arange(3.0), WindowConfig(3, 1))
-        with pytest.raises(TrainingError, match="monitor"):
-            train(seqs, empty, TrainConfig(epochs=5, early_stopping=True, patience=2), 4)
+        cfg = TrainConfig(epochs=5, early_stopping=True, patience=2)
+        (out,) = train_many([(seqs, empty, None)], cfg, 4)
+        assert isinstance(out, TrainingError)
+        assert str(out) == "early stopping requires a non-empty monitor set"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_aborts(self):
@@ -415,8 +417,9 @@ class TestTrain:
         # batch when no scaling shrinks them.
         seqs = make_sequences(np.full(12, 1e200), WindowConfig(3, 1))
         cfg = TrainConfig(epochs=5, scaling="none")
-        with pytest.raises(TrainingError, match="diverged"):
-            train(seqs, None, cfg, hidden_size=4, seed=0)
+        (out,) = train_many([(seqs, None, 0)], cfg, 4)
+        assert isinstance(out, TrainingError)
+        assert str(out) == "training diverged at epoch 1 (loss=inf)"
 
     def test_restores_best_weights(self):
         # With the adversarial monitor above, restored weights must predict
@@ -424,7 +427,7 @@ class TestTrain:
         train_seqs = make_sequences([0.0, 0.0, 0.0, 1.0], WindowConfig(3, 1))
         val_seqs = make_sequences([0.0, 0.0, 0.0, -5.0], WindowConfig(3, 1))
         cfg = TrainConfig(epochs=50, early_stopping=True, patience=4, scaling="none")
-        outcome = train(train_seqs, val_seqs, cfg, hidden_size=4, seed=0)
+        (outcome,) = train_many([(train_seqs, val_seqs, 0)], cfg, 4)
         restored_val_mse = float(
             np.mean((outcome.model.forward(val_seqs.inputs()) - val_seqs.targets()) ** 2)
         )
@@ -466,7 +469,7 @@ class TestAdam:
 
 
 def assert_same_fit(many, alone):
-    """One job of train_many gave exactly what train() gives on it alone."""
+    """One job of train_many gave exactly what it gives trained alone (M = 1)."""
     assert np.array_equal(many.model.theta, alone.model.theta)
     assert np.array_equal(many.train_loss_history, alone.train_loss_history)
     assert (many.val_loss_history is None) == (alone.val_loss_history is None)
@@ -478,11 +481,12 @@ def assert_same_fit(many, alone):
 
 
 def train_each_both_ways(jobs, cfg, hidden_size):
-    """Train the jobs in lockstep and one by one; assert bit identity."""
+    """Train the jobs in lockstep and each as a stack of one; assert bit
+    identity."""
     many = train_many(jobs, cfg, hidden_size)
     assert len(many) == len(jobs)
     for out, (train_set, val_set, seed) in zip(many, jobs):
-        alone = train(train_set, val_set, cfg, hidden_size, seed=seed)
+        (alone,) = train_many([(train_set, val_set, seed)], cfg, hidden_size)
         assert_same_fit(out, alone)
     return many
 
@@ -581,10 +585,10 @@ class TestTrainMany:
         cfg = TrainConfig(epochs=3, scaling="none")
         jobs = [(good, None, 0), (diverging, None, 1), (empty, None, 2), (other, None, 3)]
         many = train_many(jobs, cfg, 4)
-        with pytest.raises(TrainingError) as alone:
-            train(diverging, None, cfg, hidden_size=4, seed=1)
+        (alone,) = train_many([(diverging, None, 1)], cfg, 4)
+        assert isinstance(alone, TrainingError)
         assert isinstance(many[1], TrainingError)
-        assert str(many[1]) == str(alone.value)
+        assert str(many[1]) == str(alone)
         assert "diverged at epoch 1" in str(many[1])
         assert isinstance(many[2], TrainingError)
         assert "empty training set" in str(many[2])
@@ -592,7 +596,8 @@ class TestTrainMany:
         # train on bit for bit as they would alone.
         for index in (0, 3):
             train_set, val_set, seed = jobs[index]
-            assert_same_fit(many[index], train(train_set, val_set, cfg, 4, seed=seed))
+            (alone,) = train_many([(train_set, val_set, seed)], cfg, 4)
+            assert_same_fit(many[index], alone)
 
     def test_mixed_window_sizes_rejected(self):
         values = np.arange(20.0)
@@ -617,13 +622,13 @@ class TestPredict:
 
     def test_one_prediction_per_pair(self):
         seqs = make_sequences(np.arange(20.0), WindowConfig(4, 2))
-        out = train(seqs, None, TrainConfig(epochs=2), hidden_size=4, seed=0)
+        (out,) = train_many([(seqs, None, 0)], TrainConfig(epochs=2), 4)
         assert predict(out.model, out.scaler, seqs).shape == (len(seqs),)
 
     def test_calls_outside_training_reuse_the_threads_forward_buffer(self):
         seqs = make_sequences(np.sin(np.arange(60.0) / 5.0), WindowConfig(5, 1))
         forget_scratch()
-        out = train(seqs, None, TrainConfig(epochs=1), hidden_size=4, seed=0)
+        (out,) = train_many([(seqs, None, 0)], TrainConfig(epochs=1), 4)
         first = predict(out.model, out.scaler, seqs)
         kept = forecaster._scratch.buffers["forward"]
         out.model.forward(seqs.inputs()[:3])

@@ -11,7 +11,7 @@ import pytest
 
 import leakbench.runner as runner_mod
 from leakbench.errors import ContaminationError, LeakbenchError, SplitError
-from leakbench.forecaster import TrainConfig, baseline_linear_ar, predict, train
+from leakbench.forecaster import TrainConfig, baseline_linear_ar, predict, train_many
 from leakbench.metrics import rmse
 from leakbench.runner import (
     CELL_CSV_HEADER,
@@ -438,7 +438,8 @@ class TestCellTask:
                 for res in split(series, spec):
                     seed = derive_seed(cfg.base_seed, *cell_key(spec), rep, res.fold_index,
                                        "train")
-                    out = train(res.train, res.val, cfg.train, cfg.hidden_size, seed=seed)
+                    (out,) = train_many([(res.train, res.val, seed)], cfg.train,
+                                        cfg.hidden_size)
                     rmses.append(rmse(predict(out.model, out.scaler, res.test),
                                       res.test.targets()))
                     fold_epochs.append((out.optimal_epoch, out.last_epoch))

@@ -329,3 +329,22 @@ def test_single_pair_leaves_k_fold_train_empty():
     series = make_series(np.arange(4.0))
     with pytest.raises(SplitError, match=r"empty train partition \(fold 0\)"):
         split(series, spec(SplitPlan.k_fold(2), w=3, lag=1))
+
+
+@pytest.mark.parametrize(
+    "mode,order", [("leaky", "sequential"), ("leaky", "random"), ("clean", "sequential")]
+)
+@pytest.mark.parametrize(
+    "plan", [SplitPlan.two_way(), SplitPlan.three_way(), SplitPlan.k_fold(5)],
+    ids=lambda p: p.label,
+)
+def test_every_partition_indexes_the_series_buffer_by_raw_index(plan, mode, order):
+    series = make_series(np.random.default_rng(8).normal(size=73))
+    for res in split(series, spec(plan, mode=mode, w=4, lag=2, order=order, seed=5)):
+        for seqs in (res.train, res.val, res.test):
+            if seqs is None:
+                continue
+            assert np.shares_memory(seqs.values, series.values)
+            assert seqs.values.shape == series.values.shape
+            np.testing.assert_array_equal(
+                seqs.values[seqs.starts], series.values[seqs.starts])

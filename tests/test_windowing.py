@@ -58,13 +58,6 @@ class TestMakeSequences:
         seqs = make_sequences([1.0, 2.0, 3.0], WindowConfig(3, 1))
         assert len(seqs) == 0
 
-    def test_offset_shifts_provenance(self):
-        seqs = make_sequences([5.0, 6.0, 7.0, 8.0], WindowConfig(2, 1), offset=100)
-        assert list(seqs.starts) == [100, 101]
-        assert seqs.target_indices()[0] == 102
-        assert list(seqs.targets()) == [7.0, 8.0]
-        assert seqs.source_range == ((100, 104),)
-
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=64),
@@ -137,6 +130,16 @@ class TestSequenceSet:
         with pytest.raises(WindowError, match="outside source range"):
             replace(seqs, source_range=((0, 3),))
 
+    @pytest.mark.parametrize("starts, ranges", [
+        ([-2], ((-3, 4),)),  # numpy would wrap the negative start around
+        ([], ((0, 9),)),
+        ([4], ((4, 12),)),
+    ])
+    def test_rejects_source_range_outside_the_buffer(self, starts, ranges):
+        with pytest.raises(WindowError, match=r"lies outside the buffer \[0, 8\]"):
+            SequenceSet(np.arange(8.0), np.array(starts, dtype=np.int64), ranges,
+                        WindowConfig(2, 1))
+
     def test_starts_and_values_are_read_only(self):
         seqs = make_sequences(np.arange(9.0), WindowConfig(2, 1))
         with pytest.raises(ValueError):
@@ -152,30 +155,15 @@ class TestSequenceSet:
         assert empty.inputs().shape == (0, 3)
 
 
-def naive_pairs(values, starts, origin, w, lag):
+def naive_pairs(values, starts, w, lag):
     """Independent oracle: one window copy and one target per start."""
-    inputs = [[values[t - origin + j] for j in range(w)] for t in starts]
-    targets = [values[t - origin + w + lag - 1] for t in starts]
+    inputs = [[values[t + j] for j in range(w)] for t in starts]
+    targets = [values[t + w + lag - 1] for t in starts]
     return inputs, targets
 
 
 class TestGather:
     """inputs()/targets() equal a per-window loop over the starts."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=40),
-        w=st.integers(min_value=1, max_value=8),
-        lag=st.integers(min_value=1, max_value=3),
-        offset=st.integers(min_value=0, max_value=50),
-    )
-    def test_segment_with_offset(self, n, w, lag, offset):
-        values = np.random.default_rng(n).normal(size=n)
-        seqs = make_sequences(values, WindowConfig(w, lag), offset=offset)
-        inputs, targets = naive_pairs(values, seqs.starts, offset, w, lag)
-        assert seqs.inputs().shape == (len(seqs), w)
-        assert seqs.inputs().tolist() == inputs
-        assert seqs.targets().tolist() == targets
 
     @pytest.mark.parametrize("plan", [SplitPlan.two_way(), SplitPlan.three_way(), SplitPlan.k_fold(4)])
     def test_random_order_leaky_partitions(self, plan):
@@ -186,7 +174,7 @@ class TestGather:
             for seqs in (res.train, res.val, res.test):
                 if seqs is None:
                     continue
-                inputs, targets = naive_pairs(values, seqs.starts, 0, 4, 2)
+                inputs, targets = naive_pairs(values, seqs.starts, 4, 2)
                 assert seqs.inputs().tolist() == inputs
                 assert seqs.targets().tolist() == targets
 
@@ -196,6 +184,20 @@ class TestGather:
         spec = SplitSpec(plan=SplitPlan.k_fold(5), mode="clean", window=WindowConfig(3, 1))
         for res in split(series, spec):
             for seqs in (res.train, res.test):
-                inputs, targets = naive_pairs(values, seqs.starts, 0, 3, 1)
+                inputs, targets = naive_pairs(values, seqs.starts, 3, 1)
                 assert seqs.inputs().tolist() == inputs
                 assert seqs.targets().tolist() == targets
+
+    @pytest.mark.parametrize("plan", [SplitPlan.two_way(), SplitPlan.three_way()])
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_clean_holdout_partitions(self, plan, lag):
+        values = np.random.default_rng(5).normal(size=91)
+        series = make_series(values)
+        spec = SplitSpec(plan=plan, mode="clean", window=WindowConfig(4, lag))
+        (res,) = split(series, spec)
+        for seqs in (res.train, res.val, res.test):
+            if seqs is None:
+                continue
+            inputs, targets = naive_pairs(values, seqs.starts, 4, lag)
+            assert seqs.inputs().tolist() == inputs
+            assert seqs.targets().tolist() == targets
