@@ -12,6 +12,7 @@ it, so the run can be replayed.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import numbers
 import os
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .audit import AuditReport, audit
@@ -320,19 +320,39 @@ def _execute_cell(series: TimeSeries, cfg: ExperimentConfig, specs: Sequence[Spl
         return [exc] * len(specs)
 
 
+def _scipy_version() -> str:
+    """`scipy.__version__`, read from the `version.py` beside scipy's
+    `__init__.py` without running the package's import (about 6 ms and
+    0.75 MB resident); `import scipy` where that file cannot be read."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin is not None:
+        path = Path(spec.origin).with_name("version.py")
+        namespace: dict = {}
+        try:
+            exec(compile(path.read_bytes(), str(path), "exec"), namespace)
+        except OSError:
+            pass
+        if isinstance(namespace.get("version"), str):
+            return namespace["version"]
+    import scipy
+
+    return scipy.__version__
+
+
 def environment(workers: int) -> dict:
     """The software and machine a run's last bits depend on: interpreter,
     numpy version, the BLAS numpy was built with, the SIMD extensions numpy
     found on this CPU (its tanh and exp are SIMD code), the core count and
     the worker count. The scipy version is recorded too: scipy no longer
     computes any part of a run's results, but it builds the bundled
-    reference series a config may name as its dataset."""
+    reference series a config may name as its dataset. It is read from
+    scipy's own version file, so a run does not import scipy."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "simd_found": list(config["SIMD Extensions"]["found"]),
         "cpu_count": os.cpu_count(),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -13,42 +14,55 @@ import numpy as np
 
 from .errors import DataError, reading
 
+# date.toordinal() of 1970-01-01, day 0 of datetime64[D]
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered univariate observations at daily granularity.
 
-    Timestamps are strictly increasing, values are finite, and both run the
-    same length (>= 1). Instances are immutable and safe to share.
+    `timestamps` is a read-only `datetime64[D]` array and `values` a
+    read-only float array; the constructor copies whatever sequences it is
+    given (dates, ISO strings, datetime64). Timestamps are strictly
+    increasing, values are finite, and both run the same length (>= 1).
+    Instances are immutable and safe to share.
     """
 
     name: str
-    timestamps: tuple[date, ...]
+    timestamps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        stamps = tuple(self.timestamps)
+        stamps = np.array(self.timestamps, dtype="datetime64[D]")
         vals = np.array(self.values, dtype=float)
+        stamps.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "timestamps", stamps)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise DataError("series values must be one-dimensional")
-        if len(stamps) != vals.shape[0]:
+        if stamps.ndim != 1:
+            raise DataError("series timestamps must be one-dimensional")
+        if stamps.shape[0] != vals.shape[0]:
             raise DataError(
-                f"timestamp/value length mismatch: {len(stamps)} vs {vals.shape[0]}"
+                f"timestamp/value length mismatch: {stamps.shape[0]} vs {vals.shape[0]}"
             )
         if vals.shape[0] < 1:
             raise DataError("series must contain at least one observation")
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise DataError(f"non-finite value at position {bad[0]}")
-        for i in range(1, len(stamps)):
-            if stamps[i] <= stamps[i - 1]:
-                raise DataError(
-                    f"timestamps not strictly increasing at position {i} "
-                    f"({stamps[i - 1]} -> {stamps[i]})"
-                )
+        bad = np.flatnonzero(np.isnat(stamps))
+        if bad.size:
+            raise DataError(f"missing timestamp at position {bad[0]}")
+        bad = np.flatnonzero(stamps[1:] <= stamps[:-1])
+        if bad.size:
+            i = bad[0] + 1
+            raise DataError(
+                f"timestamps not strictly increasing at position {i} "
+                f"({stamps[i - 1]} -> {stamps[i]})"
+            )
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -85,43 +99,58 @@ def load_csv(path: str | Path, value_column: str, date_column: str = "date") -> 
     """Load a univariate series from a comma-separated file.
 
     The file must be UTF-8 (a leading byte-order mark is skipped) with a
-    header row; dates are ISO-8601. Rows are sorted by date; duplicate
-    dates, unparseable rows (reported with their file line number) and
-    non-finite values are rejected.
+    header row; dates are ISO-8601. Blank rows are skipped, a short row
+    reads its missing fields as empty, and a header name that repeats names
+    its last column. Rows are sorted by date; duplicate dates, unparseable
+    rows and non-finite values are rejected, a bad row with the file line
+    it ends on. Each row's day and value go straight into flat arrays, so
+    no per-row object outlives its row.
     """
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such file: {p}")
-    rows: list[tuple[date, float]] = []
+    days = array("q")
+    values = array("d")
     with reading(p), open(p, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{p}: no data rows")
         for col in (date_column, value_column):
-            if col not in reader.fieldnames:
-                raise DataError(f"{p}: missing column '{col}' (have {reader.fieldnames})")
-        for line_no, row in enumerate(reader, start=2):
-            raw_date = (row.get(date_column) or "").strip()
-            raw_value = (row.get(value_column) or "").strip()
+            if col not in header:
+                raise DataError(f"{p}: missing column '{col}' (have {header})")
+        # the last column of a repeated name, as csv.DictReader reads it
+        date_at = len(header) - 1 - header[::-1].index(date_column)
+        value_at = len(header) - 1 - header[::-1].index(value_column)
+        for row in reader:
+            if not row:
+                continue
+            raw_date = row[date_at].strip() if date_at < len(row) else ""
+            raw_value = row[value_at].strip() if value_at < len(row) else ""
             try:
-                stamp = date.fromisoformat(raw_date)
+                day = date.fromisoformat(raw_date).toordinal()
                 value = float(raw_value)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{p}: line {line_no}: cannot parse row: {exc}") from exc
+            except ValueError as exc:
+                raise DataError(
+                    f"{p}: line {reader.line_num}: cannot parse row: {exc}") from exc
             if not math.isfinite(value):
-                raise DataError(f"{p}: line {line_no}: non-finite value {raw_value!r}")
-            rows.append((stamp, value))
-    if not rows:
+                raise DataError(
+                    f"{p}: line {reader.line_num}: non-finite value {raw_value!r}")
+            days.append(day)
+            values.append(value)
+    if not days:
         raise DataError(f"{p}: no data rows")
-    rows.sort(key=lambda item: item[0])
-    for (d0, _), (d1, _) in zip(rows, rows[1:]):
-        if d0 == d1:
-            raise DataError(f"{p}: duplicate date {d1.isoformat()}")
-    return TimeSeries(
-        name=value_column,
-        timestamps=tuple(d for d, _ in rows),
-        values=np.array([v for _, v in rows]),
-    )
+    stamps = np.frombuffer(days, dtype=np.int64)
+    stamps -= _EPOCH_ORDINAL
+    stamps = stamps.view("datetime64[D]")
+    vals = np.frombuffer(values, dtype=np.float64)
+    if not np.all(stamps[1:] > stamps[:-1]):
+        order = np.argsort(stamps, kind="stable")
+        stamps, vals = stamps[order], vals[order]
+        dup = np.flatnonzero(stamps[1:] == stamps[:-1])
+        if dup.size:
+            raise DataError(f"{p}: duplicate date {stamps[dup[0]]}")
+    return TimeSeries(name=value_column, timestamps=stamps, values=vals)
 
 
 def write_csv(
@@ -133,8 +162,8 @@ def write_csv(
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([date_column, series.name])
-        for stamp, value in zip(series.timestamps, series.values):
-            writer.writerow([stamp.isoformat(), repr(float(value))])
+        for stamp, value in zip(np.datetime_as_string(series.timestamps), series.values):
+            writer.writerow([stamp, repr(float(value))])
     return p
 
 

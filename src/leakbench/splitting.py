@@ -64,8 +64,8 @@ class SplitPlan(Record):
             raise SplitError(
                 f"{self.kind} needs {expected} fractions, got {len(fractions)}"
             )
-        if any(f <= 0 for f in fractions):
-            raise SplitError(f"fractions must be positive, got {fractions}")
+        if not all(math.isfinite(f) and f > 0 for f in fractions):
+            raise SplitError(f"fractions must be finite and positive, got {fractions}")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise SplitError(f"fractions must sum to 1, got {fractions}")
 

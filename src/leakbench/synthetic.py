@@ -11,7 +11,7 @@ parameters are frozen; changing any of them invalidates recorded fixtures.
 
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +86,7 @@ def reference_values() -> np.ndarray:
 
 def reference_series() -> TimeSeries:
     """The bundled reference series as a TimeSeries named `meantemp`."""
-    stamps = tuple(
-        REFERENCE_START + timedelta(days=int(i)) for i in range(REFERENCE_COUNT)
-    )
+    stamps = np.datetime64(REFERENCE_START, "D") + np.arange(REFERENCE_COUNT)
     return TimeSeries(name="meantemp", timestamps=stamps, values=reference_values())
 
 

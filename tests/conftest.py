@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import os
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ def climate() -> TimeSeries:
 def make_series(values, start=date(2020, 1, 1), name="x") -> TimeSeries:
     """Small helper: a daily series over arbitrary values."""
     values = np.asarray(values, dtype=float)
-    stamps = tuple(start + timedelta(days=i) for i in range(len(values)))
+    stamps = np.datetime64(start, "D") + np.arange(len(values))
     return TimeSeries(name=name, timestamps=stamps, values=values)
 
 

@@ -159,6 +159,17 @@ class TestRun:
             f"error: learning_rate must be finite and positive, got {rate!r}\n")
         assert not out.exists()
 
+    def test_non_finite_split_fraction_is_data_error(self, tmp_path, climate_csv, capsys):
+        # Before, the NaN passed both fraction checks, and every repetition
+        # then failed with "cannot convert float NaN to integer".
+        cfg = write_config(tmp_path, climate_csv,
+                           plans=[{"kind": "two_way", "fractions": [float("nan"), 0.5]}])
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--keep-going", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fractions must be finite and positive, got (nan, 0.5)\n")
+        assert not out.exists()
+
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
 

@@ -337,6 +337,18 @@ class TestRunExperiment:
         emit_report(report, tmp_path, fmt="json")
         assert load_report(tmp_path).provenance["environment"] == env
 
+    @pytest.mark.parametrize("found", ["nothing", "no version file"])
+    def test_scipy_version_without_its_file_imports_scipy(self, monkeypatch, tmp_path, found):
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        spec = None if found == "nothing" else importlib.machinery.ModuleSpec(
+            "scipy", None, origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        assert runner_mod.environment(1)["scipy"] == scipy.__version__
+
     @pytest.mark.parametrize("entropy, drawn", [
         (b"\x00" * 8, 0), (b"\xff" * 8, 2**63 - 1), (bytes(range(1, 9)), 0x0102030405060708 >> 1),
     ], ids=["zeros", "ones", "counting"])

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import csv
 import math
+import re
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakbench.errors import DataError
 from leakbench.series import (
@@ -23,6 +28,10 @@ class TestTimeSeriesInvariants:
         with pytest.raises(DataError, match="mismatch"):
             TimeSeries("x", (date(2020, 1, 1),), np.array([1.0, 2.0]))
 
+    def test_rejects_two_dimensional_timestamps(self):
+        with pytest.raises(DataError, match="timestamps must be one-dimensional"):
+            TimeSeries("x", [["2020-01-01"], ["2020-01-02"]], np.array([1.0, 2.0]))
+
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             TimeSeries("x", (), np.array([]))
@@ -39,10 +48,32 @@ class TestTimeSeriesInvariants:
                 np.array([1.0, 2.0]),
             )
 
+    def test_rejects_repeated_timestamps(self):
+        with pytest.raises(DataError, match=r"strictly increasing at position 2 "
+                                            r"\(2020-01-02 -> 2020-01-02\)"):
+            TimeSeries("x", ["2020-01-01", "2020-01-02", "2020-01-02"], np.zeros(3))
+
+    def test_rejects_missing_timestamp(self):
+        with pytest.raises(DataError, match="missing timestamp at position 1"):
+            TimeSeries("x", np.array(["2020-01-01", "NaT"], dtype="datetime64[D]"), np.zeros(2))
+
+    def test_timestamps_are_a_day_array(self):
+        s = TimeSeries("x", (date(2020, 1, 1), date(2020, 1, 3)), np.array([1.0, 2.0]))
+        assert s.timestamps.dtype == np.dtype("datetime64[D]")
+        assert s.timestamps.tolist() == [date(2020, 1, 1), date(2020, 1, 3)]
+
     def test_values_are_read_only(self):
         s = make_series([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+    def test_timestamps_are_read_only_copies(self):
+        stamps = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]")
+        s = TimeSeries("x", stamps, np.array([1.0, 2.0]))
+        stamps[0] = np.datetime64("2021-01-01")
+        assert str(s.timestamps[0]) == "2020-01-01"
+        with pytest.raises(ValueError):
+            s.timestamps[0] = np.datetime64("2019-01-01")
 
 
 class TestLoadCsv:
@@ -84,6 +115,32 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(p, value_column="v")
 
+    def test_line_number_is_the_file_line(self, tmp_path):
+        # counting non-blank rows instead gave lines 3, 3 and 4
+        p = tmp_path / "t.csv"
+        p.write_text("date,v\n2013-01-01,1.0\n\n2013-01-03,x\n")
+        with pytest.raises(DataError, match="line 4: cannot parse row"):
+            load_csv(p, value_column="v")
+        p.write_text("date,v\n2013-01-01,1.0\n\n2013-01-03,nan\n")
+        with pytest.raises(DataError, match="line 4: non-finite value 'nan'"):
+            load_csv(p, value_column="v")
+        # a quoted field spanning lines 4-5 before the bad row on line 6
+        p.write_text('date,v\n2013-01-01,1.0\n\n2013-01-02,"2.0\n"\n2013-01-03,x\n')
+        with pytest.raises(DataError, match="line 6: cannot parse row"):
+            load_csv(p, value_column="v")
+
+    def test_short_row_reads_missing_field_as_empty(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("date,v\n2013-01-01,1\n2013-01-02\n")
+        with pytest.raises(DataError, match="line 3: cannot parse row: could not convert "
+                                            "string to float: ''"):
+            load_csv(p, value_column="v")
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("v,date,v\n9,2013-01-01,1\n9,2013-01-02,2\n")
+        assert load_csv(p, value_column="v").values.tolist() == [1.0, 2.0]
+
     def test_non_finite_value_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("date,v\n2013-01-01,1\n2013-01-02,inf\n")
@@ -110,8 +167,99 @@ class TestLoadCsv:
     def test_round_trip_identity(self, tmp_path, climate):
         p = write_csv(climate, tmp_path / "rt.csv")
         loaded = load_csv(p, value_column="meantemp")
-        assert loaded.timestamps == climate.timestamps
+        assert np.array_equal(loaded.timestamps, climate.timestamps)
         np.testing.assert_array_equal(loaded.values, climate.values)
+
+
+def dictreader_load_csv(path, value_column, date_column="date"):
+    """The csv.DictReader loader that load_csv replaced, kept as its oracle:
+    (dates, values) of the sorted rows, or the DataError it raised."""
+    p = Path(path)
+    rows = []
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{p}: no data rows")
+        for col in (date_column, value_column):
+            if col not in reader.fieldnames:
+                raise DataError(f"{p}: missing column '{col}' (have {reader.fieldnames})")
+        for line_no, row in enumerate(reader, start=2):
+            raw_date = (row.get(date_column) or "").strip()
+            raw_value = (row.get(value_column) or "").strip()
+            try:
+                stamp = date.fromisoformat(raw_date)
+                value = float(raw_value)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{p}: line {line_no}: cannot parse row: {exc}") from exc
+            if not math.isfinite(value):
+                raise DataError(f"{p}: line {line_no}: non-finite value {raw_value!r}")
+            rows.append((stamp, value))
+    if not rows:
+        raise DataError(f"{p}: no data rows")
+    rows.sort(key=lambda item: item[0])
+    for (d0, _), (d1, _) in zip(rows, rows[1:]):
+        if d0 == d1:
+            raise DataError(f"{p}: duplicate date {d1.isoformat()}")
+    return [d for d, _ in rows], [v for _, v in rows]
+
+
+_NAMES = st.sampled_from(["date", "v", "x", " v", "date "])
+_DATES = st.sampled_from([f"2013-01-{day:02d}" for day in range(1, 29)] + [
+    "2012-12-31", " 2013-02-01 ", "20130202"])
+_VALUES = st.sampled_from(["1", "2.5", "-0.0", " 3 ", "1e308", "0.1", "-7"])
+_ODD = st.sampled_from(["", "2013-1-5", "x", "nan", "-inf", "1e309", "a,b", 'q"q'])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text a loader may meet: a BOM, blank rows, quoted fields (some
+    across two lines), short and long rows, repeated or padded header
+    names, and dates out of order or repeated. Most rows parse, so that
+    the sort and the duplicate check are reached."""
+    def line(fields):
+        return ",".join(
+            '"' + f.replace('"', '""') + '"'
+            if draw(st.booleans()) or any(c in f for c in ',"\n') else f
+            for f in fields)
+
+    header = draw(st.lists(_NAMES, max_size=3))
+    for name in ("date", "v"):
+        if draw(st.integers(0, 9)):
+            header.insert(draw(st.integers(0, len(header))), name)
+    lines = [line(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank row
+            continue
+        fields = [draw(_ODD) if draw(st.integers(0, 29)) == 0
+                  else draw(_DATES if name == "date" else _VALUES) for name in header]
+        fields = fields[:draw(st.integers(0, len(fields)))] if draw(st.integers(0, 9)) == 0 \
+            else fields + draw(st.lists(_VALUES, max_size=2))
+        if fields and draw(st.integers(0, 9)) == 0:
+            fields[0] += "\n"  # a quoted field across two lines
+        lines.append(line(fields) if fields else '""')
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_load_csv_matches_the_dictreader_loader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("oracle") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = dictreader_load_csv(path, "v")
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(path, "v")
+        line = re.compile(r"line \d+")
+        assert line.sub("line N", str(got.value)) == line.sub("line N", str(exc))
+        return
+    series = load_csv(path, "v")
+    dates, values = expected
+    assert np.array_equal(series.timestamps, np.array(dates, dtype="datetime64[D]"))
+    assert series.values.tobytes() == np.array(values, dtype=float).tobytes()
 
 
 class TestDescribe:

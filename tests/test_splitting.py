@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,20 @@ class TestSplitPlan:
     def test_fractions_must_be_positive(self):
         with pytest.raises(SplitError, match="positive"):
             SplitPlan(kind="three_way", fractions=(1.1, -0.3, 0.2))
+
+    @pytest.mark.parametrize("kind, literal, shown", [
+        ("two_way", "[NaN, 0.5]", "(nan, 0.5)"),
+        ("two_way", "[Infinity, 0.2]", "(inf, 0.2)"),
+        ("three_way", "[0.7, NaN, 0.2]", "(0.7, nan, 0.2)"),
+    ])
+    def test_fractions_must_be_finite(self, kind, literal, shown):
+        # json.loads reads the bare NaN/Infinity literals; `nan <= 0` and
+        # `abs(nan - 1.0) > 1e-9` are both False, so a NaN passed both
+        # checks and every repetition failed to convert it to a pair count.
+        record = json.loads(f'{{"kind": "{kind}", "fractions": {literal}}}')
+        with pytest.raises(SplitError,
+                           match=re.escape(f"fractions must be finite and positive, got {shown}")):
+            SplitPlan.from_dict(record)
 
     def test_k_lower_bound(self):
         with pytest.raises(SplitError, match="k must be >= 2"):
