@@ -1,6 +1,11 @@
-"""Per-layer timings of the LSTM kernel: `LstmModel.forward`,
+"""Per-layer timings of the LSTM kernel and of split and audit, printed as
+one JSON object. The kernel layers are `LstmModel.forward`,
 `loss_and_gradients` and one `_Adam.step`, each at M = 1 and M = 10 stacked
-models (H 16, B 32, W 10, the kfold-lstm shape), printed as one JSON object.
+models (H 16, B 32, W 10, the kfold-lstm shape). The audit layers run on a
+series of 30,000 points at W = 10, L = 1 (the audit-30k shape): `split` of
+the leaky and the clean 10-fold spec, and `audit` and
+`minimal_clearing_gap` of the leaky 10-fold split's fold 1 and the leaky
+2-way split.
 
     python3 benchmarks/layers.py --src parent=OTHER/src --src change=src \\
         --rounds 15 --loops 20
@@ -39,23 +44,44 @@ import numpy as np
 
 HIDDEN, BATCH, WINDOW = 16, 32, 10
 STACKS = (1, 10)
+AUDIT_N, AUDIT_LAG = 30_000, 1
 
 
-def _import_forecaster(package: str, src: str):
-    """The `forecaster` module of the leakbench tree under `src`, imported
-    as the package `package`."""
+def _cases(package: str, src: str) -> dict:
+    """Each layer of the leakbench tree under `src`, imported as the package
+    `package`, as a zero-argument call, with the inputs every tree shares."""
     root = Path(src).resolve() / "leakbench"
     spec = importlib.util.spec_from_file_location(
         package, root / "__init__.py", submodule_search_locations=[str(root)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[package] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{package}.forecaster")
+    forecaster, *audit_modules = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("forecaster", "series", "windowing", "splitting", "audit"))
+    return {**_kernel_cases(forecaster), **_audit_cases(*audit_modules)}
 
 
-def _cases(fc) -> dict:
-    """Each layer of forecaster module `fc` as a zero-argument call, with
-    the inputs every tree shares."""
+def _audit_cases(series, windowing, splitting, audit) -> dict:
+    values = np.random.default_rng(0).normal(size=AUDIT_N)
+    ts = series.TimeSeries("x", np.datetime64("1900-01-01") + np.arange(AUDIT_N), values)
+    window = windowing.WindowConfig(WINDOW, AUDIT_LAG)
+    k10 = {mode: splitting.SplitSpec(plan=splitting.SplitPlan.k_fold(10), mode=mode,
+                                     window=window)
+           for mode in ("leaky", "clean")}
+    two_way = splitting.SplitSpec(plan=splitting.SplitPlan.two_way(), mode="leaky",
+                                  window=window)
+    cases = {f"split.{mode}.k10": (lambda spec=spec: splitting.split(ts, spec))
+             for mode, spec in k10.items()}
+    folds = {"k10": splitting.split(ts, k10["leaky"])[1], "2way": splitting.split(ts, two_way)[0]}
+    for label, fold in folds.items():
+        cases[f"audit.{label}"] = lambda fold=fold: audit.audit(fold)
+        cases[f"minimal_clearing_gap.{label}"] = (
+            lambda fold=fold: audit.minimal_clearing_gap(fold))
+    return cases
+
+
+def _kernel_cases(fc) -> dict:
     rng = np.random.default_rng(0)
     cases = {}
     for m in STACKS:
@@ -115,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
 
     trees = dict(spec.split("=", 1) if "=" in spec else (spec, spec) for spec in args.src)
     cases = {
-        label: _cases(_import_forecaster(f"_leakbench_tree{i}", src))
+        label: _cases(f"_leakbench_tree{i}", src)
         for i, (label, src) in enumerate(trees.items())
     }
     for tree in cases.values():
@@ -129,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
             for label in order:
                 samples[label][name].append(_time(cases[label][name], args.loops))
     report = {
-        "shape": {"hidden_size": HIDDEN, "batch": BATCH, "window": WINDOW},
+        "shape": {"hidden_size": HIDDEN, "batch": BATCH, "window": WINDOW,
+                  "audit_points": AUDIT_N, "audit_lag": AUDIT_LAG},
         "rounds": args.rounds,
         "loops": args.loops,
         "cpu_count": os.cpu_count(),

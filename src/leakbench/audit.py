@@ -53,6 +53,21 @@ def footprint_mask(seqs: SequenceSet, size: int) -> np.ndarray:
     return mask
 
 
+def _prefix_counts(mask: np.ndarray) -> np.ndarray:
+    """int32 counts of `mask`'s set indices below each raw index 0..size."""
+    seen = np.zeros(mask.shape[0] + 1, dtype=np.int32)
+    np.cumsum(mask, dtype=np.int32, out=seen[1:])
+    return seen
+
+
+def _reaching(seqs: SequenceSet, mask: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Per pair of `seqs`, whether its window holds an index of `mask` (the
+    prefix counts `seen` tell) or its target is one."""
+    starts, config = seqs.starts, seqs.config
+    window_hits = seen[config.window_size:][starts] - seen[starts]
+    return (window_hits > 0) | mask[config.target_offset:][starts]
+
+
 def audit(result: SplitResult) -> AuditReport:
     """Intersect the training-side (train + val) and test raw footprints."""
     size = len(result.test.values)
@@ -61,13 +76,7 @@ def audit(result: SplitResult) -> AuditReport:
         train_fp |= footprint_mask(result.val, size)
     test_fp = footprint_mask(result.test, size)
     overlap = np.flatnonzero(train_fp & test_fp)
-    # a test pair is contaminated when its window holds a training-side index
-    # (prefix sums count them) or its target is one
-    seen = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(train_fp, dtype=np.int32, out=seen[1:])
-    starts, config = result.test.starts, result.test.config
-    window_hits = seen[config.window_size:][starts] - seen[starts]
-    contaminated = (window_hits > 0) | train_fp[config.target_offset:][starts]
+    contaminated = _reaching(result.test, train_fp, _prefix_counts(train_fp))
     return AuditReport(
         train_footprint_size=int(train_fp.sum()),
         test_footprint_size=int(test_fp.sum()),
@@ -88,10 +97,12 @@ def apply_buffer(result: SplitResult, gap: int) -> SplitResult:
     `gap` on both sides. At gap=0 only pairs falling entirely inside the
     test range are dropped, so a result whose training side merely touches
     the range is returned unchanged. Val pairs count as training side and
-    are filtered the same way; the test set is never touched.
+    are filtered the same way; the test set is never touched. An empty
+    test set has no range and raises AuditError.
     """
     if gap < 0:
         raise AuditError(f"gap must be >= 0, got {gap}")
+    _require_test_pairs(result)
     offset = result.test.config.target_offset
     lo = int(result.test.starts.min()) - gap
     hi = int(result.test.starts.max()) + offset + gap
@@ -112,17 +123,48 @@ def apply_buffer(result: SplitResult, gap: int) -> SplitResult:
     )
 
 
+def _require_test_pairs(result: SplitResult) -> None:
+    if not len(result.test):
+        raise AuditError("the test set is empty: there is no test range to buffer")
+
+
 def minimal_clearing_gap(result: SplitResult) -> int:
-    """Smallest gap whose buffered result audits uncontaminated (linear scan)."""
-    gap = 0
-    while True:
-        try:
-            buffered = apply_buffer(result, gap)
-        except AuditError as exc:
-            raise AuditError(
-                f"no finite gap clears contamination before partition exhaustion "
-                f"(failed at gap {gap}: {exc})"
-            ) from exc
-        if not audit(buffered).is_contaminated:
-            return gap
-        gap += 1
+    """Smallest gap whose buffered result audits uncontaminated.
+
+    Closed form of the scan that tries gap 0, 1, 2, ... with `apply_buffer`
+    and `audit`, and equal to it, errors included. With first and last the
+    test set's first and last start, `apply_buffer` drops the training-side
+    pair t from gap d(t) = max(0, first - t, t - last) on. A buffered result
+    is contaminated while it keeps a pair that reaches the test footprint
+    (its window or its target holds a test index), so the answer is the
+    largest d(t) over the reaching pairs, 0 if none reaches. A set empties
+    at the largest d(t) over its pairs. Over ascending starts both maxima
+    are read off the first and last start. When a set empties at a gap at
+    or below the answer, the scan fails there first, so this raises what it
+    raised: `apply_buffer`'s AuditError for that gap and set (train before
+    val on a tie), wrapped. An empty test set raises AuditError.
+    """
+    _require_test_pairs(result)
+    first, last = int(result.test.starts[0]), int(result.test.starts[-1])
+
+    def widest(starts: np.ndarray) -> int:
+        """The largest d(t) over ascending `starts`, 0 for none."""
+        return max(0, first - int(starts[0]), int(starts[-1]) - last) if len(starts) else 0
+
+    test_fp = footprint_mask(result.test, len(result.test.values))
+    seen = _prefix_counts(test_fp)
+    sides = [("train", result.train)]
+    if result.val is not None:
+        sides.append(("val", result.val))
+    gap, empties = 0, []
+    for name, seqs in sides:
+        empties.append((widest(seqs.starts), name))
+        gap = max(gap, widest(seqs.starts[_reaching(seqs, test_fp, seen)]))
+    exhausted, name = min(empties, key=lambda e: e[0])
+    if exhausted <= gap:
+        exc = AuditError(f"buffer gap {exhausted} empties the {name} set")
+        raise AuditError(
+            f"no finite gap clears contamination before partition exhaustion "
+            f"(failed at gap {exhausted}: {exc})"
+        ) from exc
+    return gap

@@ -16,6 +16,8 @@ from .errors import DataError, reading
 
 # date.toordinal() of 1970-01-01, day 0 of datetime64[D]
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+# strings numpy reads as the current date or time
+_KEYWORDS = ("today", "now", b"today", b"now")
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,8 +26,9 @@ class TimeSeries:
 
     `timestamps` is a read-only `datetime64[D]` array and `values` a
     read-only float array; the constructor copies whatever sequences it is
-    given (dates, ISO strings, datetime64). Timestamps are strictly
-    increasing, values are finite, and both run the same length (>= 1).
+    given (dates, ISO strings, datetime64). Timestamps are whole days,
+    strictly increasing, values are finite, and both run the same length
+    (>= 1).
     Instances are immutable and safe to share.
     """
 
@@ -34,7 +37,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        stamps = np.array(self.timestamps, dtype="datetime64[D]")
+        stamps = _day_stamps(self.timestamps)
         vals = np.array(self.values, dtype=float)
         stamps.flags.writeable = False
         vals.flags.writeable = False
@@ -66,6 +69,37 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+def _day_stamps(timestamps) -> np.ndarray:
+    """A `datetime64[D]` copy of `timestamps`: dates, ISO strings,
+    datetime64 or integer day numbers. An unparseable date, a time of day,
+    numpy's "today" and "now" keywords and any other kind of value raise
+    DataError, naming the (flat) position where there is one."""
+    stamps = np.asarray(timestamps)
+    if stamps.dtype.kind in "OSU":
+        flat = stamps.ravel()
+        for i, stamp in enumerate(flat.tolist()):
+            if isinstance(stamp, (str, bytes)) and stamp.lower() in _KEYWORDS:
+                raise DataError(f"timestamp at position {i} is {stamp!r}, not a date")
+        try:
+            stamps = stamps.astype("datetime64")
+        except (TypeError, ValueError) as exc:
+            for i, stamp in enumerate(flat.tolist()):
+                try:
+                    np.array([stamp]).astype("datetime64")
+                except (TypeError, ValueError) as bad:
+                    raise DataError(f"invalid timestamp at position {i}: {bad}") from bad
+            raise DataError(f"invalid timestamps: {exc}") from exc
+    elif stamps.dtype.kind not in "iuM" and stamps.size:
+        raise DataError(f"timestamps must be dates, got {stamps.dtype} values")
+    days = stamps.astype("datetime64[D]")
+    if stamps.dtype.kind == "M" and stamps.dtype != days.dtype:
+        partial = np.flatnonzero((days != stamps) & ~np.isnat(stamps))
+        if partial.size:
+            i = partial[0]
+            raise DataError(f"timestamp at position {i} has a time of day: {stamps.flat[i]}")
+    return days
 
 
 @dataclass(frozen=True)

@@ -172,10 +172,12 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
     the axis. Leaky mode cuts the window starts of one sequence set over the
     whole series, permuted first (seeded) under random order; partition
     membership is what the ordering decides, and each partition's starts are
-    stored sorted. Clean mode cuts the raw indices 0..n, so segments stay
-    chronological (train earliest, then val, then test), and windows each
-    range of a partition independently: a clean k_fold train set holds the
-    sequences of the raw runs before and after the test block, as one set.
+    stored sorted (under sequential order the axis is `arange` and the
+    ranges ascend, so they already are). Clean mode cuts the raw indices
+    0..n, so segments stay chronological (train earliest, then val, then
+    test), and windows each range of a partition independently: a clean
+    k_fold train set holds the sequences of the raw runs before and after
+    the test block, as one set.
 
     Raises SplitError when any resulting partition has no pairs.
     """
@@ -197,7 +199,8 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
         for name, ranges in parts.items():
             if leaky:
                 starts = np.concatenate([axis[a:b] for a, b in ranges])
-                starts.sort()
+                if spec.order == ORDER_RANDOM:
+                    starts.sort()
                 part = replace(full, starts=starts)
             else:
                 part = SequenceSet(series.values, np.concatenate([

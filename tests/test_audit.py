@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leakbench.audit import apply_buffer, audit, minimal_clearing_gap
-from leakbench.errors import AuditError
+from leakbench.errors import AuditError, SplitError
 from leakbench.splitting import SplitPlan, SplitResult, SplitSpec, split
-from leakbench.windowing import WindowConfig
+from leakbench.windowing import SequenceSet, WindowConfig
 
 from conftest import make_series
 
@@ -223,3 +223,110 @@ class TestMinimalClearingGap:
         assert audit(tight).is_contaminated
         with pytest.raises(AuditError, match="no finite gap"):
             minimal_clearing_gap(tight)
+
+    def test_exhaustion_error_names_the_gap_set_and_cause(self):
+        (res,) = split(make_series(np.arange(9.0)), spec(SplitPlan.two_way(), w=2, lag=1))
+        tight = SplitResult(
+            train=replace(res.train, starts=res.train.starts[-1:]),
+            val=None, test=res.test, fold_index=0,
+        )
+        with pytest.raises(AuditError) as info:
+            minimal_clearing_gap(tight)
+        assert str(info.value) == (
+            "no finite gap clears contamination before partition exhaustion "
+            "(failed at gap 1: buffer gap 1 empties the train set)"
+        )
+        assert type(info.value.__cause__) is AuditError
+        assert str(info.value.__cause__) == "buffer gap 1 empties the train set"
+
+
+def without_test_pairs(result: SplitResult) -> SplitResult:
+    return replace(result, test=replace(result.test, starts=result.test.starts[:0]))
+
+
+class TestEmptyTestSet:
+    def test_apply_buffer_names_the_empty_test_set(self):
+        (res,) = split(make_series(np.arange(20.0)), spec(SplitPlan.two_way()))
+        with pytest.raises(AuditError, match="the test set is empty"):
+            apply_buffer(without_test_pairs(res), 2)
+
+    def test_minimal_clearing_gap_names_the_empty_test_set(self):
+        (res,) = split(make_series(np.arange(20.0)), spec(SplitPlan.three_way()))
+        with pytest.raises(AuditError, match="the test set is empty"):
+            minimal_clearing_gap(without_test_pairs(res))
+
+
+def scanned_clearing_gap(result: SplitResult) -> int:
+    """Oracle: try gap 0, 1, 2, ... until the buffered result audits
+    uncontaminated, wrapping the first buffer error."""
+    gap = 0
+    while True:
+        try:
+            buffered = apply_buffer(result, gap)
+        except AuditError as exc:
+            raise AuditError(
+                f"no finite gap clears contamination before partition exhaustion "
+                f"(failed at gap {gap}: {exc})"
+            ) from exc
+        if not audit(buffered).is_contaminated:
+            return gap
+        gap += 1
+
+
+def capped(seqs: SequenceSet, first: int, last: int, cap: int, exact: bool) -> SequenceSet:
+    """Keep the pairs that a buffer of `cap` drops, so the set empties at
+    gap `cap` or below; with `exact`, add a pair that empties exactly
+    there when the series holds one."""
+    starts = seqs.starts
+    drop = np.maximum(0, np.maximum(first - starts, starts - last))
+    kept = starts[drop <= cap]
+    if exact:
+        bound = seqs.values.shape[0] - seqs.config.target_offset
+        extra = [t for t in (first - cap, last + cap) if 0 <= t < bound][:1]
+        kept = np.union1d(kept, np.asarray(extra, dtype=np.int64))
+    return replace(seqs, starts=kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=400),
+    w=st.integers(min_value=1, max_value=12),
+    lag=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["two_way", "three_way", "k_fold"]),
+    order=st.sampled_from(["sequential", "random"]),
+    fold=st.integers(min_value=0, max_value=9),
+    truncate=st.sampled_from(["none", "train", "val", "both", "tie"]),
+    caps=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minimal_clearing_gap_equals_the_scan(n, w, lag, kind, order, fold, truncate, caps,
+                                              seed):
+    plan = {
+        "two_way": SplitPlan.two_way(),
+        "three_way": SplitPlan.three_way(),
+        "k_fold": SplitPlan.k_fold(10),
+    }[kind]
+    try:
+        results = split(make_series(np.zeros(n)), spec(plan, w=w, lag=lag, order=order, seed=seed))
+    except SplitError:
+        assume(False)
+    res = results[fold % len(results)]
+    first, last = int(res.test.starts[0]), int(res.test.starts[-1])
+    train, val = res.train, res.val
+    if truncate == "tie":
+        caps = (caps[0], caps[0])
+    if truncate in ("train", "both", "tie"):
+        train = capped(train, first, last, caps[0], truncate == "tie")
+    if val is not None and truncate in ("val", "both", "tie"):
+        val = capped(val, first, last, caps[1], truncate == "tie")
+    res = SplitResult(train=train, val=val, test=res.test, fold_index=res.fold_index)
+    try:
+        expected = scanned_clearing_gap(res)
+    except AuditError as exc:
+        with pytest.raises(AuditError) as info:
+            minimal_clearing_gap(res)
+        assert str(info.value) == str(exc)
+        assert type(info.value.__cause__) is type(exc.__cause__)
+        assert str(info.value.__cause__) == str(exc.__cause__)
+    else:
+        assert minimal_clearing_gap(res) == expected

@@ -18,12 +18,16 @@ def test_layers_script_times_every_layer_of_each_tree():
         capture_output=True, text=True, check=True,
     ).stdout
     report = json.loads(out)
-    assert report["shape"] == {"hidden_size": 16, "batch": 32, "window": 10}
+    assert report["shape"] == {"hidden_size": 16, "batch": 32, "window": 10,
+                               "audit_points": 30_000, "audit_lag": 1}
     assert set(report["trees"]) == {"a", "b"}
     for layers in report["trees"].values():
         assert set(layers) == {
             f"{layer}.m{m}" for layer in ("forward", "loss_and_gradients", "adam_step")
             for m in (1, 10)
+        } | {"split.leaky.k10", "split.clean.k10"} | {
+            f"{layer}.{plan}" for layer in ("audit", "minimal_clearing_gap")
+            for plan in ("k10", "2way")
         }
         for timing in layers.values():
             assert 0 < timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,34 @@ class TestTimeSeriesInvariants:
     def test_rejects_missing_timestamp(self):
         with pytest.raises(DataError, match="missing timestamp at position 1"):
             TimeSeries("x", np.array(["2020-01-01", "NaT"], dtype="datetime64[D]"), np.zeros(2))
+
+    def test_rejects_invalid_date(self):
+        with pytest.raises(DataError, match=r'invalid timestamp at position 1: .*"2020-13-01"'):
+            TimeSeries("x", ["2020-01-01", "2020-13-01"], np.zeros(2))
+
+    @pytest.mark.parametrize("stamps", [
+        ["2020-01-01", "2020-01-02T12:00"],
+        np.array(["2020-01-01T00:00", "2020-01-02T00:01"], dtype="datetime64[m]"),
+        [datetime(2020, 1, 1), datetime(2020, 1, 2, 6)],
+    ])
+    def test_rejects_time_of_day(self, stamps):
+        with pytest.raises(DataError, match="timestamp at position 1 has a time of day"):
+            TimeSeries("x", stamps, np.zeros(2))
+
+    def test_rejects_float_timestamps(self):
+        with pytest.raises(DataError, match="timestamps must be dates, got float64 values"):
+            TimeSeries("x", [1.5, 2.5], np.zeros(2))
+
+    def test_midnight_of_a_finer_unit_is_its_day(self):
+        stamps = np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[ns]")
+        s = TimeSeries("x", stamps, np.zeros(2))
+        assert s.timestamps.tolist() == [date(2020, 1, 1), date(2020, 1, 2)]
+
+    @pytest.mark.parametrize("keyword", ["today", "now", "Today", b"today"])
+    def test_rejects_numpy_date_keywords(self, keyword):
+        stamps = ["2000-01-01", keyword] if isinstance(keyword, str) else [b"2000-01-01", keyword]
+        with pytest.raises(DataError, match="timestamp at position 1 is .*, not a date"):
+            TimeSeries("x", stamps, np.zeros(2))
 
     def test_timestamps_are_a_day_array(self):
         s = TimeSeries("x", (date(2020, 1, 1), date(2020, 1, 3)), np.array([1.0, 2.0]))

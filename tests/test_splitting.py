@@ -113,6 +113,17 @@ class TestLeakySplits:
         all_starts = set(rand_res.train.starts.tolist()) | set(rand_res.test.starts.tolist())
         assert all_starts == set(range(27))
 
+    @pytest.mark.parametrize("order", ["sequential", "random"])
+    @pytest.mark.parametrize(
+        "plan", [SplitPlan.two_way(), SplitPlan.three_way(), SplitPlan.k_fold(4)],
+        ids=lambda p: p.label)
+    def test_every_leaky_partition_comes_back_sorted(self, plan, order):
+        series = make_series(np.arange(60.0))
+        for res in split(series, spec(plan, order=order, seed=3)):
+            for part in (res.train, res.val, res.test):
+                if part is not None:
+                    assert np.all(np.diff(part.starts) > 0)
+
     def test_random_order_is_seed_deterministic(self):
         series = make_series(np.arange(30.0))
         a = split(series, spec(SplitPlan.k_fold(3), order="random", seed=9))
