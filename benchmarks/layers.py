@@ -1,7 +1,11 @@
-"""Per-layer timings of the LSTM kernel and of split and audit, printed as
-one JSON object. The kernel layers are `LstmModel.forward`,
-`loss_and_gradients` and one `_Adam.step`, each at M = 1 and M = 10 stacked
-models (H 16, B 32, W 10, the kfold-lstm shape). The audit layers run on a
+"""Per-layer timings of the LSTM kernel, of one `train_many` call and of
+split and audit, printed as one JSON object. The kernel layers are
+`LstmModel.forward`, `loss_and_gradients` and one `_Adam.step`, each at
+M = 1 and M = 10 stacked models (H 16, B 32, W 10, the kfold-lstm shape).
+`train_many.k10` trains the ten training sets of the reference series'
+clean 10-fold split at W 10, L 3 (the kfold-lstm cell) for one epoch, as
+one stack of M = 10; besides its time, its tracemalloc peak in one call
+after the warm-up is reported per tree. The audit layers run on a
 series of 30,000 points at W = 10, L = 1 (the audit-30k shape): `split` of
 the leaky and the clean 10-fold spec, and `audit` and
 `minimal_clearing_gap` of the leaky 10-fold split's fold 1 and the leaky
@@ -25,7 +29,8 @@ in microseconds, with the core count and load averages. Under "ratios",
 each tree after the first is compared with the first, layer by layer: the
 ratio of the two trees' medians, and the median and quartiles of the
 per-round ratios (this tree's time over the first tree's in the same
-round), which a drift that spans several rounds moves less.
+round), which a drift that spans several rounds moves less. Under
+"traced_peak_kib", each tree's `train_many.k10` peak in KiB.
 """
 
 from __future__ import annotations
@@ -38,12 +43,14 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 HIDDEN, BATCH, WINDOW = 16, 32, 10
 STACKS = (1, 10)
+TRAIN_LAG, TRAIN_FOLDS = 3, 10
 AUDIT_N, AUDIT_LAG = 30_000, 1
 
 
@@ -56,10 +63,21 @@ def _cases(package: str, src: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     sys.modules[package] = module
     spec.loader.exec_module(module)
-    forecaster, *audit_modules = (
+    forecaster, synthetic, series, windowing, splitting, audit = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("forecaster", "series", "windowing", "splitting", "audit"))
-    return {**_kernel_cases(forecaster), **_audit_cases(*audit_modules)}
+        for name in ("forecaster", "synthetic", "series", "windowing", "splitting", "audit"))
+    return {**_kernel_cases(forecaster),
+            **_train_cases(forecaster, synthetic, windowing, splitting),
+            **_audit_cases(series, windowing, splitting, audit)}
+
+
+def _train_cases(forecaster, synthetic, windowing, splitting) -> dict:
+    spec = splitting.SplitSpec(plan=splitting.SplitPlan.k_fold(TRAIN_FOLDS), mode="clean",
+                               window=windowing.WindowConfig(WINDOW, TRAIN_LAG))
+    results = splitting.split(synthetic.reference_series(), spec)
+    jobs = [(res.train, res.val, res.fold_index) for res in results]
+    cfg = forecaster.TrainConfig(epochs=1, batch_size=BATCH)
+    return {"train_many.k10": lambda: forecaster.train_many(jobs, cfg, HIDDEN)}
 
 
 def _audit_cases(series, windowing, splitting, audit) -> dict:
@@ -111,6 +129,16 @@ def _time(case, loops: int) -> float:
     return (time.perf_counter() - start) / loops
 
 
+def _traced_peak(case) -> int:
+    """Bytes at the tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        case()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median_us": median * 1e6, "q1_us": q1 * 1e6, "q3_us": q3 * 1e6}
@@ -147,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     for tree in cases.values():
         for case in tree.values():
             _time(case, 1)
+    peaks = {label: {"train_many.k10": _traced_peak(tree["train_many.k10"]) / 1024}
+             for label, tree in cases.items()}
     samples = {label: {name: [] for name in tree} for label, tree in cases.items()}
     loadavg_start = os.getloadavg()
     for r in range(args.rounds):
@@ -156,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                 samples[label][name].append(_time(cases[label][name], args.loops))
     report = {
         "shape": {"hidden_size": HIDDEN, "batch": BATCH, "window": WINDOW,
+                  "train_lag": TRAIN_LAG, "train_folds": TRAIN_FOLDS,
                   "audit_points": AUDIT_N, "audit_lag": AUDIT_LAG},
         "rounds": args.rounds,
         "loops": args.loops,
@@ -166,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             label: {name: _quartiles(times) for name, times in layer_times.items()}
             for label, layer_times in samples.items()
         },
+        "traced_peak_kib": peaks,
     }
     first, *others = samples
     report["ratios"] = {

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .records import Record
-from .windowing import SequenceSet
+from .windowing import SequenceSet, windows
 
 SCALING_KINDS = ("none", "minmax", "zscore")
 
@@ -325,11 +325,31 @@ class _Adam:
         steps = self.t[rows].tolist()
         c1 = np.array([1.0 - self.beta1**t for t in steps])[:, None]
         c2 = np.array([1.0 - self.beta2**t for t in steps])[:, None]
-        m = self.beta1 * self.m[rows] + (1.0 - self.beta1) * grad
-        v = self.beta2 * self.v[rows] + (1.0 - self.beta2) * grad**2
-        self.m[rows] = m
-        self.v[rows] = v
-        theta[rows] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        # m = beta1 m + (1 - beta1) grad, v = beta2 v + (1 - beta2) grad^2
+        # and theta -= lr (m / c1) / (sqrt(v / c2) + eps), op for op, but in
+        # place: fresh (M, P) temporaries on every step were trimmed off the
+        # heap when freed and page-faulted in again on the next step. The
+        # two work arrays borrow the backward pass's scratch, which holds
+        # nothing between kernel calls.
+        m, v = self.m[rows], self.v[rows]  # views for a slice, copies for an index
+        a, b = _scratch_arrays("backward", grad.shape, grad.shape)
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.square(grad, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        if not isinstance(rows, slice):
+            self.m[rows] = m
+            self.v[rows] = v
+        np.divide(m, c1, out=a)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        theta[rows] -= a
 
 
 @dataclass(frozen=True)
@@ -386,8 +406,11 @@ Job = tuple[SequenceSet, Optional[SequenceSet], Optional[int]]
 
 
 class _JobState:
-    """What one model of `train_many` keeps for itself: its scaled data, its
-    RNG, its loss histories and its early-stopping state."""
+    """What one model of `train_many` keeps for itself: its sets (starts
+    over a shared buffer, no window matrices), its scaler, its RNG, its loss
+    histories and its early-stopping state. `base` and `val_base` are where
+    its scaled training and validation buffers begin in `train_many`'s flat
+    array."""
 
     def __init__(
         self,
@@ -403,15 +426,10 @@ class _JobState:
         if cfg.early_stopping and val_set is not None and len(val_set) == 0:
             raise TrainingError("early stopping requires a non-empty monitor set")
         self.index = index
-        inputs, targets = train_set.inputs(), train_set.targets()
-        self.scaler = Scaler.fit(cfg.scaling, inputs, targets)
-        self.x = self.scaler.transform(inputs)
-        self.y = self.scaler.transform(targets)
-        self.n = self.x.shape[0]
-        self.x_val = self.y_val = None
-        if val_set is not None:
-            self.x_val = self.scaler.transform(val_set.inputs())
-            self.y_val = self.scaler.transform(val_set.targets())
+        self.train_set, self.val_set = train_set, val_set
+        self.n = len(train_set)
+        self.scaler = Scaler.fit(cfg.scaling, train_set.inputs(), train_set.targets())
+        self.base = self.val_base = 0  # set by _flat_buffers
         self.rng = np.random.default_rng(seed)
         self.initial_theta = LstmModel.initialize(hidden_size, self.rng).theta
         self.train_hist: list[float] = []
@@ -438,12 +456,12 @@ class _JobState:
 
     def outcome(self, theta: np.ndarray, cfg: TrainConfig, hidden_size: int) -> TrainOutcome:
         restore = cfg.early_stopping and self.best_theta is not None
-        monitored = self.x_val is not None or cfg.early_stopping
+        monitored = self.val_set is not None or cfg.early_stopping
         return TrainOutcome(
             model=LstmModel(hidden_size, self.best_theta if restore else theta.copy()),
             scaler=self.scaler,
             train_loss_history=tuple(self.train_hist),
-            val_loss_history=tuple(self.val_hist) if self.x_val is not None else None,
+            val_loss_history=tuple(self.val_hist) if self.val_set is not None else None,
             optimal_epoch=self.best_epoch if monitored else self.last_epoch,
             last_epoch=self.last_epoch,
         )
@@ -455,6 +473,25 @@ def _groups(sizes: dict[int, int]) -> list[tuple[np.ndarray, int]]:
     for row, size in sizes.items():
         by_size.setdefault(size, []).append(row)
     return [(np.array(rows), size) for size, rows in by_size.items()]
+
+
+def _flat_buffers(live: list[_JobState]) -> np.ndarray:
+    """Every job's scaler-transformed series buffer, end to end in one
+    array, with each job's `base` and `val_base` set to where its own begin.
+    A validation set over the training set's buffer (the same memory, as
+    the folds of one split are) reads the training copy."""
+    pieces, pos = [], 0
+    for job in live:
+        job.base = job.val_base = pos
+        pieces.append(job.scaler.transform(job.train_set.values))
+        pos += pieces[-1].size
+        val = job.val_set
+        if val is not None and (val.values.__array_interface__
+                                != job.train_set.values.__array_interface__):
+            job.val_base = pos
+            pieces.append(job.scaler.transform(val.values))
+            pos += pieces[-1].size
+    return np.concatenate(pieces) if pieces else np.zeros(0)
 
 
 def train_many(
@@ -479,6 +516,12 @@ def train_many(
     them instead would change the order of the sums. A model that stops
     early or diverges leaves the stack, so one failing job leaves the
     others' outcomes as they would be without it.
+
+    No job's windows are materialised: each job's series buffer is scaled
+    once into one flat array, an epoch's shuffled starts become positions
+    in it, and each stacked step (and each validation pass) gathers its
+    batch from it by raw index. A scaled value is the same float either
+    way, so the outcomes are those of scaling the window matrices.
     """
     failed: dict[int, TrainingError] = {}
     live: list[_JobState] = []
@@ -487,17 +530,23 @@ def train_many(
             live.append(_JobState(index, train_set, val_set, seed, cfg, hidden_size))
         except TrainingError as exc:
             failed[index] = exc
-    if len({job.x.shape[1] for job in live}) > 1:
+    widths = {
+        seqs.config.window_size
+        for job in live for seqs in (job.train_set, job.val_set) if seqs is not None
+    }
+    if len(widths) > 1:
         raise TrainingError("train_many jobs must share one window size")
 
     count = len(live)
     theta = np.array([job.initial_theta for job in live])
     adam = _Adam(theta.shape, cfg.learning_rate)
     running = list(range(count))
-    # Each epoch's shuffled pairs of every running model, one row each.
-    window = live[0].x.shape[1] if live else 0
-    xs = np.empty((count, max((job.n for job in live), default=0), window))
-    ys = np.empty(xs.shape[:2])
+    flat = _flat_buffers(live)
+    window = widths.pop() if widths else 0
+    offsets = np.array([[job.train_set.config.target_offset] for job in live], dtype=np.int64)
+    # Each epoch's shuffled window starts of every running model, one row
+    # each, as positions in `flat`.
+    order_pos = np.empty((count, max((job.n for job in live), default=0)), dtype=np.int64)
     for epoch in range(1, cfg.epochs + 1):
         if not running:
             break
@@ -505,18 +554,18 @@ def train_many(
         for r in running:
             job = live[r]
             order = job.rng.permutation(job.n)
-            xs[r, : job.n] = job.x[order]
-            ys[r, : job.n] = job.y[order]
+            order_pos[r, : job.n] = job.base + job.train_set.starts[order]
         sq_sums = [0.0] * count
         for start in range(0, longest, cfg.batch_size):
             sizes = {
                 r: min(cfg.batch_size, live[r].n - start) for r in running if live[r].n > start
             }
             for rows, size in _groups(sizes):
-                stop = start + size
                 sel = slice(None) if rows.size == count else rows
+                pos = order_pos[sel, start : start + size]
                 loss, grad = loss_and_gradients(
-                    theta[sel], xs[sel, start:stop], ys[sel, start:stop], hidden_size
+                    theta[sel], windows(flat, pos, window), flat[pos + offsets[sel]],
+                    hidden_size,
                 )
                 finite = np.isfinite(loss)
                 if not finite.all():
@@ -535,12 +584,13 @@ def train_many(
         for r in running:
             live[r].train_hist.append(sq_sums[r] / live[r].n)
             monitors[r] = live[r].train_hist[-1]
-        val_sizes = {r: live[r].x_val.shape[0] for r in running if live[r].x_val is not None}
+        val_sizes = {r: len(live[r].val_set) for r in running if live[r].val_set is not None}
         for rows, _ in _groups(val_sizes):
-            preds, _ = _forward(
-                theta[rows], np.stack([live[r].x_val for r in rows]), hidden_size, False
-            )
-            val_mses = np.mean((preds - np.stack([live[r].y_val for r in rows])) ** 2, axis=1)
+            vals = [live[r].val_set for r in rows]
+            pos = np.stack([live[r].val_base + v.starts for r, v in zip(rows, vals)])
+            target_pos = pos + np.array([[v.config.target_offset] for v in vals])
+            preds, _ = _forward(theta[rows], windows(flat, pos, window), hidden_size, False)
+            val_mses = np.mean((preds - flat[target_pos]) ** 2, axis=1)
             for r, val_mse in zip(rows.tolist(), val_mses.tolist()):
                 if not np.isfinite(val_mse):
                     failed[live[r].index] = TrainingError(
@@ -567,8 +617,8 @@ def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:
     """One prediction per pair, inverse-scaled back to original units."""
     if len(seqs) == 0:
         return np.zeros(0)
-    outputs = model.forward(scaler.transform(seqs.inputs()))
-    return scaler.inverse_transform(outputs)
+    x = windows(scaler.transform(seqs.values), seqs.starts, seqs.config.window_size)
+    return scaler.inverse_transform(model.forward(x))
 
 
 GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]

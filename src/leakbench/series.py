@@ -18,6 +18,8 @@ from .errors import DataError, reading
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # strings numpy reads as the current date or time
 _KEYWORDS = ("today", "now", b"today", b"now")
+# datetime64 units coarser than a day, which numpy reads as their first day
+_COARSE_UNITS = {"Y": "year", "M": "month", "W": "week"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,25 +76,37 @@ class TimeSeries:
 def _day_stamps(timestamps) -> np.ndarray:
     """A `datetime64[D]` copy of `timestamps`: dates, ISO strings,
     datetime64 or integer day numbers. An unparseable date, a time of day,
-    numpy's "today" and "now" keywords and any other kind of value raise
-    DataError, naming the (flat) position where there is one."""
+    a year, month or week in place of a day, numpy's "today" and "now"
+    keywords and any other kind of value raise DataError, naming the (flat)
+    position where there is one."""
     stamps = np.asarray(timestamps)
     if stamps.dtype.kind in "OSU":
-        flat = stamps.ravel()
-        for i, stamp in enumerate(flat.tolist()):
+        # Each string on its own: parsed together, "2020-02" next to
+        # "2020-01-01" would silently become 2020-02-01.
+        for i, stamp in enumerate(stamps.ravel().tolist()):
             if isinstance(stamp, (str, bytes)) and stamp.lower() in _KEYWORDS:
                 raise DataError(f"timestamp at position {i} is {stamp!r}, not a date")
+            try:
+                unit, _ = np.datetime_data(np.array([stamp]).astype("datetime64").dtype)
+            except (TypeError, ValueError) as bad:
+                raise DataError(f"invalid timestamp at position {i}: {bad}") from bad
+            if unit in _COARSE_UNITS:
+                raise DataError(
+                    f"timestamp at position {i} is a {_COARSE_UNITS[unit]}, not a day: {stamp!r}")
         try:
             stamps = stamps.astype("datetime64")
         except (TypeError, ValueError) as exc:
-            for i, stamp in enumerate(flat.tolist()):
-                try:
-                    np.array([stamp]).astype("datetime64")
-                except (TypeError, ValueError) as bad:
-                    raise DataError(f"invalid timestamp at position {i}: {bad}") from bad
             raise DataError(f"invalid timestamps: {exc}") from exc
     elif stamps.dtype.kind not in "iuM" and stamps.size:
         raise DataError(f"timestamps must be dates, got {stamps.dtype} values")
+    unit = np.datetime_data(stamps.dtype)[0] if stamps.dtype.kind == "M" else None
+    if unit in _COARSE_UNITS:
+        named = np.flatnonzero(~np.isnat(stamps))
+        if named.size:
+            i = named[0]
+            raise DataError(
+                f"timestamp at position {i} is a {_COARSE_UNITS[unit]}, not a day: "
+                f"{stamps.flat[i]}")
     days = stamps.astype("datetime64[D]")
     if stamps.dtype.kind == "M" and stamps.dtype != days.dtype:
         partial = np.flatnonzero((days != stamps) & ~np.isnat(stamps))

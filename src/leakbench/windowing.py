@@ -90,10 +90,16 @@ class SequenceSet:
 
     def inputs(self) -> np.ndarray:
         """The (n_pairs, W) matrix of windows, gathered from the buffer."""
-        return self.values[self.starts[:, None] + np.arange(self.config.window_size)]
+        return windows(self.values, self.starts, self.config.window_size)
 
     def targets(self) -> np.ndarray:
         return self.values[self.target_indices()]
+
+
+def windows(buffer: np.ndarray, starts: np.ndarray, window_size: int) -> np.ndarray:
+    """buffer[t : t + W] for every raw start t, gathered by one fancy index:
+    starts of any shape give windows of that shape plus a trailing W axis."""
+    return buffer[starts[..., None] + np.arange(window_size)]
 
 
 def make_sequences(values: Sequence[float] | np.ndarray, config: WindowConfig) -> SequenceSet:

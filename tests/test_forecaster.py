@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -467,6 +468,22 @@ class TestAdam:
         for r in range(3):
             assert np.array_equal(theta[r], lone_adam(start[r], taken[r], lr=1.0))
 
+    def test_a_step_of_the_whole_stack_allocates_no_stack_sized_array(self):
+        # (M, P) temporaries freed on every step get trimmed off the heap
+        # and page-faulted in again on the next.
+        rng = np.random.default_rng(6)
+        theta = rng.normal(size=(10, 1169))
+        adam = _Adam(theta.shape, lr=1e-3)
+        adam.step(theta, rng.normal(size=theta.shape), slice(None))  # sizes the scratch
+        grad = rng.normal(size=theta.shape)
+        tracemalloc.start()
+        try:
+            adam.step(theta, grad, slice(None))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes
+
 
 def assert_same_fit(many, alone):
     """One job of train_many gave exactly what it gives trained alone (M = 1)."""
@@ -523,6 +540,52 @@ class TestTrainMany:
         monkeypatch.setattr(SequenceSet, "inputs", counted)
         train_many([(r.train, r.val, 0) for r in results], TrainConfig(epochs=1), 2)
         assert len(calls) == 10
+
+    def test_training_keeps_no_window_matrices(self, climate):
+        # The clean 10-fold stack of the reference series (W=10, L=3): one
+        # stack of its materialised training windows is sum(n) * W floats.
+        results = split(
+            climate,
+            SplitSpec(plan=SplitPlan.k_fold(10), mode="clean", window=WindowConfig(10, 3)),
+        )
+        jobs = [(r.train, r.val, r.fold_index) for r in results]
+        cfg = TrainConfig(epochs=1)
+        train_many(jobs, cfg, 2)  # sizes the kernel scratch
+        tracemalloc.start()
+        try:
+            train_many(jobs, cfg, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window_stack = sum(len(r.train) for r in results) * 10 * 8
+        assert peak < window_stack
+
+    @pytest.mark.parametrize("with_val", [False, True])
+    def test_jobs_over_different_buffers_and_lag_steps(self, with_val):
+        # Same W, lag steps 1-3 and buffers of 60-140 points, so each job's
+        # windows start at its own place in the flat array and its targets
+        # lie at its own offset. The last job's validation set has a buffer
+        # of its own; the others' share their training buffer.
+        noise = np.random.default_rng(4).normal(size=400)
+        jobs = []
+        for i, (length, lag) in enumerate([(60, 1), (95, 3), (140, 2), (95, 1)]):
+            w = WindowConfig(4, lag)
+            values = noise[i * 80 : i * 80 + length]
+            cut = length * 3 // 4
+            train = SequenceSet(values, np.arange(cut - w.target_offset), ((0, cut),), w)
+            val = SequenceSet(values, np.arange(cut, length - w.target_offset),
+                              ((cut, length),), w)
+            if i == 3:
+                val = make_sequences(noise[350:372], w)
+            jobs.append((train, val if with_val else None, i))
+        many = train_each_both_ways(jobs, TrainConfig(epochs=3, learning_rate=0.05), 3)
+        if with_val:
+            # Each validation loss is its own set's: the last one is the
+            # final model's MSE on that set's windows, gathered anew here.
+            for out, (_, val, _) in zip(many, jobs):
+                x, y = out.scaler.transform(val.inputs()), out.scaler.transform(val.targets())
+                mse = np.mean((out.model.forward(x) - y) ** 2)
+                assert out.val_loss_history[-1] == pytest.approx(mse, rel=1e-12)
 
     def test_early_stopping_at_different_epochs(self):
         # 37, 52, 67 and 82 training pairs: 2, 2, 3 and 3 batches an epoch,

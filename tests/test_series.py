@@ -70,6 +70,27 @@ class TestTimeSeriesInvariants:
         with pytest.raises(DataError, match="timestamp at position 1 has a time of day"):
             TimeSeries("x", stamps, np.zeros(2))
 
+    @pytest.mark.parametrize("stamps, period", [
+        (["2020-01", "2020-02"], "month"),
+        (["2019", "2020"], "year"),
+        ([b"2020-01", b"2020-02"], "month"),
+        (np.array(["2020-01", "2020-02"], dtype="datetime64[M]"), "month"),
+        (np.array(["2019", "2020"], dtype="datetime64[Y]"), "year"),
+        (np.array(["2020-01-02", "2020-01-09"], dtype="datetime64[W]"), "week"),
+    ])
+    def test_rejects_periods_coarser_than_a_day(self, stamps, period):
+        with pytest.raises(DataError, match=f"timestamp at position 0 is a {period}, not a day"):
+            TimeSeries("x", stamps, np.zeros(2))
+
+    def test_rejects_a_month_among_days(self):
+        with pytest.raises(DataError, match="position 1 is a month, not a day: '2020-02'"):
+            TimeSeries("x", ["2020-01-01", "2020-02"], np.zeros(2))
+
+    def test_integer_day_numbers_and_day_units_are_days(self):
+        for stamps in (np.array([0, 31]), np.array(["1970-01-01", "1970-02-01"], "datetime64[D]")):
+            s = TimeSeries("x", stamps, np.zeros(2))
+            assert s.timestamps.tolist() == [date(1970, 1, 1), date(1970, 2, 1)]
+
     def test_rejects_float_timestamps(self):
         with pytest.raises(DataError, match="timestamps must be dates, got float64 values"):
             TimeSeries("x", [1.5, 2.5], np.zeros(2))
