@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leakbench.audit import apply_buffer, audit, minimal_clearing_gap
+from leakbench.audit import RUN_LIMIT, apply_buffer, audit, minimal_clearing_gap
 from leakbench.errors import AuditError, SplitError
 from leakbench.splitting import SplitPlan, SplitResult, SplitSpec, split
 from leakbench.windowing import SequenceSet, WindowConfig
 
 from conftest import make_series
+
+# the package's `audit` attribute is the function, so name the module itself
+audit_module = importlib.import_module("leakbench.audit")
 
 
 def naive_audit(result: SplitResult):
@@ -330,3 +335,141 @@ def test_minimal_clearing_gap_equals_the_scan(n, w, lag, kind, order, fold, trun
         assert str(info.value.__cause__) == str(exc.__cause__)
     else:
         assert minimal_clearing_gap(res) == expected
+
+
+def by_masks(fn, result: SplitResult):
+    """`fn(result)` with the interval path off: every set goes through
+    footprint masks, the representation the interval path must equal."""
+    with mock.patch.object(audit_module, "_runs", return_value=None):
+        return fn(result)
+
+
+def assert_paths_agree(result: SplitResult) -> None:
+    """The interval path and the mask path give the same report, with the
+    same Python types, and the same gap or the same error and cause."""
+    report = audit(result)
+    assert repr(report) == repr(by_masks(audit, result))
+    assert report == by_masks(audit, result)
+    try:
+        expected = by_masks(minimal_clearing_gap, result)
+    except AuditError as exc:
+        with pytest.raises(AuditError) as info:
+            minimal_clearing_gap(result)
+        assert str(info.value) == str(exc)
+        assert type(info.value.__cause__) is type(exc.__cause__)
+        assert str(info.value.__cause__) == str(exc.__cause__)
+    else:
+        assert minimal_clearing_gap(result) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=400),
+    w=st.integers(min_value=1, max_value=12),
+    lag=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["two_way", "three_way", "k_fold"]),
+    mode_order=st.sampled_from([("leaky", "sequential"), ("leaky", "random"),
+                                ("clean", "sequential")]),
+    fold=st.integers(min_value=0, max_value=9),
+    gap=st.one_of(st.none(), st.integers(0, 20)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interval_path_equals_the_mask_path(n, w, lag, kind, mode_order, fold, gap, seed):
+    mode, order = mode_order
+    plan = {
+        "two_way": SplitPlan.two_way(),
+        "three_way": SplitPlan.three_way(),
+        "k_fold": SplitPlan.k_fold(10),
+    }[kind]
+    try:
+        results = split(make_series(np.zeros(n)),
+                        spec(plan, mode=mode, w=w, lag=lag, order=order, seed=seed))
+    except SplitError:
+        assume(False)
+    res = results[fold % len(results)]
+    if gap is not None:
+        try:
+            res = apply_buffer(res, gap)
+        except AuditError:
+            assume(False)
+    if order == "sequential":
+        # every sequential partition, buffered or not, is one or two runs
+        assert audit_module._runs(res) is not None
+    assert_paths_agree(res)
+
+
+def with_starts(result: SplitResult, **starts) -> SplitResult:
+    """`result` with the named sets' starts replaced."""
+    sets = {name: replace(getattr(result, name), starts=np.asarray(s, dtype=np.int64))
+            for name, s in starts.items()}
+    return replace(result, **sets)
+
+
+class TestIntervalPath:
+    @staticmethod
+    def three_way(n=60, w=4, lag=2):
+        (res,) = split(make_series(np.zeros(n)), spec(SplitPlan.three_way(), w=w, lag=lag))
+        return res
+
+    def test_run_limit_is_what_a_sequential_k_fold_train_set_needs(self):
+        # the runs before and after the test block
+        res = split(make_series(np.zeros(100)), spec(SplitPlan.k_fold(5)))[2]
+        assert audit_module._runs(res)["train"] == [(0, 40), (59, 97)]
+        assert RUN_LIMIT == 2
+
+    @pytest.mark.parametrize("runs, interval_path", [
+        (RUN_LIMIT, True), (RUN_LIMIT + 1, False)])
+    def test_the_run_limit_chooses_the_path(self, runs, interval_path):
+        res = self.three_way()
+        # train runs of four starts, two apart, each ending before the val set
+        train = [t for r in range(runs) for t in range(6 * r, 6 * r + 4)]
+        res = with_starts(res, train=train)
+        assert (audit_module._runs(res) is not None) is interval_path
+        assert_paths_agree(res)
+        train_fp, test_fp, overlap, contaminated = naive_audit(res)
+        report = audit(res)
+        assert report.train_footprint_size == len(train_fp)
+        assert report.contaminated_test_pairs == contaminated
+
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_a_repeated_start_goes_through_masks(self, name):
+        res = self.three_way()
+        starts = getattr(res, name).starts
+        res = with_starts(res, **{name: np.insert(starts, 1, starts[1])})
+        assert audit_module._runs(res) is None
+        assert_paths_agree(res)
+        # a repeated test start is a second pair: it counts twice
+        assert audit(res).contaminated_test_pairs == naive_audit(res)[3]
+
+    def test_an_empty_val_set(self):
+        res = with_starts(self.three_way(), val=[])
+        assert audit_module._runs(res)["val"] == []
+        assert_paths_agree(res)
+        with pytest.raises(AuditError, match="buffer gap 0 empties the val set"):
+            minimal_clearing_gap(res)
+
+    def test_an_empty_test_set(self):
+        res = with_starts(self.three_way(), test=[])
+        assert_paths_agree(res)
+        assert audit(res).test_footprint_size == 0
+
+    def test_a_long_overlap_keeps_the_first_twenty_indices(self):
+        # W 12, L 4 on both sides of a middle test block: 30 shared indices
+        res = split(make_series(np.zeros(200)), spec(SplitPlan.k_fold(5), w=12, lag=4))[2]
+        report = audit(res)
+        assert report.overlap_count == len(naive_audit(res)[2]) > 20
+        assert report.overlap_sample == tuple(sorted(naive_audit(res)[2])[:20])
+        assert_paths_agree(res)
+
+    def test_touching_intervals_join(self):
+        assert audit_module._merge([(5, 8), (0, 3), (3, 5), (9, 10), (9, 12)]) == [
+            (0, 8), (9, 12)]
+
+    @pytest.mark.parametrize("order, masks", [("sequential", 0), ("random", 2)])
+    def test_sequential_splits_take_intervals_and_shuffled_ones_masks(self, order, masks):
+        res = split(make_series(np.zeros(400)),
+                    spec(SplitPlan.k_fold(10), w=10, order=order, seed=3))[1]
+        with mock.patch.object(audit_module, "footprint_mask",
+                               wraps=audit_module.footprint_mask) as footprint_mask:
+            audit(res)
+        assert footprint_mask.call_count == masks

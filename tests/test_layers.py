@@ -28,7 +28,7 @@ def test_layers_script_times_every_layer_of_each_tree():
             for m in (1, 10)
         } | {"train_many.k10", "split.leaky.k10", "split.clean.k10"} | {
             f"{layer}.{plan}" for layer in ("audit", "minimal_clearing_gap")
-            for plan in ("k10", "2way")
+            for plan in ("k10", "2way", "random.k10")
         }
         for timing in layers.values():
             assert 0 < timing["q1_us"] <= timing["median_us"] <= timing["q3_us"]
