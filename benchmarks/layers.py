@@ -1,17 +1,21 @@
-"""Per-layer timings of the LSTM kernel, of one `train_many` call and of
-split and audit, printed as one JSON object. The kernel layers are
-`LstmModel.forward`, `loss_and_gradients` and one `_Adam.step`, each at
-M = 1 and M = 10 stacked models (H 16, B 32, W 10, the kfold-lstm shape).
+"""Per-layer timings of the LSTM kernel, of one `train_many` call, its
+scaler fit and batch gather, and of split and audit, printed as one JSON
+object. The kernel layers are `LstmModel.forward`, `loss_and_gradients`
+and one `_Adam.step`, each at M = 1 and M = 10 stacked models (H 16,
+B 32, W 10, the kfold-lstm shape).
 `train_many.k10` trains the ten training sets of the reference series'
 clean 10-fold split at W 10, L 3 (the kfold-lstm cell) for one epoch, as
 one stack of M = 10; besides its time, its tracemalloc peak in one call
-after the warm-up is reported per tree. The audit layers run on a
-series of 30,000 points at W = 10, L = 1 (the audit-30k shape): `split` of
-the leaky and the clean 10-fold spec, and `audit` and
-`minimal_clearing_gap` of the leaky 10-fold split's fold 1, the leaky
-2-way split and fold 1 of the leaky 10-fold split under `order: random`
-(seed 0; `random.k10`, whose sets are thousands of runs of consecutive
-starts, not one or two).
+after the warm-up is reported per tree. On the same ten sets,
+`scaler_fit.k10` fits each set's `Scaler` as `train_many` does, and
+`windows.k10` gathers one stacked (10, B, W) input batch from the sets'
+buffers end to end in one flat array, as each `train_many` step does. The
+audit layers run on a series of 30,000 points at W = 10, L = 1 (the
+audit-30k shape): `split` of the leaky and the clean 10-fold spec, and
+`audit` and `minimal_clearing_gap` of the leaky 10-fold split's fold 1,
+the leaky 2-way split and fold 1 of the leaky 10-fold split under
+`order: random` (seed 0; `random.k10`, whose sets are thousands of runs
+of consecutive starts, not one or two).
 
     python3 benchmarks/layers.py --src parent=OTHER/src --src change=src \\
         --rounds 15 --loops 20
@@ -80,7 +84,19 @@ def _train_cases(forecaster, synthetic, windowing, splitting) -> dict:
     results = splitting.split(synthetic.reference_series(), spec)
     jobs = [(res.train, res.val, res.fold_index) for res in results]
     cfg = forecaster.TrainConfig(epochs=1, batch_size=BATCH)
-    return {"train_many.k10": lambda: forecaster.train_many(jobs, cfg, HIDDEN)}
+    trains = [res.train for res in results]
+    # One stacked batch as train_many gathers it: the first BATCH shuffled
+    # starts of every job, as positions in one flat array of the buffers.
+    flat = np.concatenate([t.values for t in trains])
+    bases = np.cumsum([0] + [t.values.size for t in trains[:-1]])
+    rng = np.random.default_rng(0)
+    pos = np.stack([base + rng.permutation(t.starts)[:BATCH] for base, t in zip(bases, trains)])
+    return {
+        "train_many.k10": lambda: forecaster.train_many(jobs, cfg, HIDDEN),
+        "scaler_fit.k10": lambda: [forecaster.Scaler.fit(cfg.scaling, t.inputs(), t.targets())
+                                   for t in trains],
+        "windows.k10": lambda: windowing.windows(flat, pos, WINDOW),
+    }
 
 
 def _audit_cases(series, windowing, splitting, audit) -> dict:

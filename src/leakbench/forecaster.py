@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .records import Record
+from .rng import default_rng
 from .windowing import SequenceSet, windows
 
 SCALING_KINDS = ("none", "minmax", "zscore")
@@ -430,7 +431,7 @@ class _JobState:
         self.n = len(train_set)
         self.scaler = Scaler.fit(cfg.scaling, train_set.inputs(), train_set.targets())
         self.base = self.val_base = 0  # set by _flat_buffers
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self.initial_theta = LstmModel.initialize(hidden_size, self.rng).theta
         self.train_hist: list[float] = []
         self.val_hist: list[float] = []

@@ -52,8 +52,8 @@ from .windowing import WindowConfig
 
 # hashlib and secrets load OpenSSL's libcrypto (~3.6 MB resident); the
 # interpreter's built-in SHA-256 gives the same digests without it. Runs
-# that seed numpy's RNG (the LSTM, random order) still load it, because
-# numpy.random imports secrets.
+# that seed numpy's RNG (the LSTM, random order) import numpy.random, which
+# imports secrets; leakbench.rng hands that one import a stand-in.
 try:
     from _sha2 import sha256  # CPython >= 3.12
 except ImportError:

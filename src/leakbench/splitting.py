@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import SplitError
 from .records import Record
+from .rng import default_rng
 from .series import TimeSeries
 from .windowing import SequenceSet, WindowConfig, make_sequences
 
@@ -191,7 +192,7 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
         if not len(axis):
             raise SplitError(f"series of length {n} yields no pairs for {geometry}")
         if spec.order == ORDER_RANDOM:
-            axis = axis[np.random.default_rng(spec.seed).permutation(len(axis))]
+            axis = axis[default_rng(spec.seed).permutation(len(axis))]
 
     results = []
     for fold, parts in enumerate(_partitions(plan, len(axis) if leaky else n)):

@@ -157,30 +157,60 @@ class TestDeriveSeed:
             8896941277092741002)
 
 
-def test_baseline_run_and_audit_leave_openssl_unloaded(tmp_path, climate_csv):
-    # hashlib and secrets map OpenSSL's libcrypto (~3.6 MB resident). The
-    # LSTM still loads it: numpy.random imports secrets.
+def test_runs_and_audit_leave_openssl_unloaded(tmp_path, climate_csv):
+    # hashlib and secrets map OpenSSL's libcrypto (~3.6 MB resident). A
+    # baseline run and an audit never import them. An LSTM run and a random
+    # order draw from numpy.random, whose first import sees a stand-in
+    # secrets (leakbench.rng) that is gone again once the import ends, so
+    # the real module still loads on request. Each of the two runs comes
+    # first in one of the two processes, so each path makes that import.
+    for first in ("lstm", "random"):
+        _check_runs_leave_openssl_unloaded(tmp_path / first, climate_csv, first)
+
+
+def _check_runs_leave_openssl_unloaded(tmp_path, climate_csv, first):
+    tmp_path.mkdir()
     config = tmp_path / "config.json"
     payload = base_config(climate_csv).to_dict()
+    runs = {
+        "lstm": {"model": "lstm", "repetitions": 1, "hidden_size": 4,
+                 "train": {**payload["train"], "epochs": 1}},
+        "random": {"model": "linear_ar", "modes": ["leaky"], "order": "random"},
+    }
+    order = [first, *(name for name in runs if name != first)]
     code = "\n".join([
         "import json, sys",
         "from leakbench.cli import main",
-        "def loaded(): return [m for m in ('_hashlib', 'hashlib', 'secrets') if m in sys.modules]",
+        "def loaded(): return [m for m in ('_hashlib', 'hashlib', 'hmac', 'secrets')"
+        " if m in sys.modules]",
         "print('import', loaded(), file=sys.stderr)",
         f"config = {str(config)!r}",
+        "def run(name, changes):",
+        f"    open(config, 'w').write(json.dumps({{**{payload!r}, **changes}}))",
+        f"    code = main(['run', config, '--out', {str(tmp_path)!r} + '/' + name])",
+        "    print(name, code, loaded(), file=sys.stderr)",
         "for model in ('persistence', 'linear_ar'):",
-        f"    payload = {{**{payload!r}, 'model': model}}",
-        "    open(config, 'w').write(json.dumps(payload))",
-        f"    code = main(['run', config, '--out', {str(tmp_path)!r} + '/' + model])",
-        "    print(model, code, loaded(), file=sys.stderr)",
+        "    run(model, {'model': model})",
         "print('audit', main(['audit', config]), loaded(), file=sys.stderr)",
+        f"for name in {order!r}:",
+        f"    run(name, {runs!r}[name])",
+        "print('libcrypto', 'libcrypto' in open('/proc/self/maps').read(), file=sys.stderr)",
+        "import secrets",
+        "print('secrets', hasattr(secrets, '__file__'), len(secrets.token_hex(4)),"
+        " file=sys.stderr)",
+        "import numpy as np",
+        "print('entropy differs',"
+        " np.random.SeedSequence().entropy != np.random.SeedSequence().entropy, file=sys.stderr)",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
-                         text=True, check=True)
+                         text=True)
     assert out.stderr.splitlines() == [
         "import []", "persistence 0 []", "linear_ar 0 []", "audit 0 []",
+        *(f"{name} 0 []" for name in order),
+        "libcrypto False", "secrets True 8", "entropy differs True",
     ]
-    assert (tmp_path / "linear_ar" / "cells.csv").exists()
+    for name in ("linear_ar", "lstm", "random"):
+        assert (tmp_path / name / "cells.csv").exists()
 
 
 def patch_forked_cells(monkeypatch, fake_run_cell):
