@@ -1,15 +1,17 @@
 """Per-layer timings of the LSTM kernel, of one `train_many` call, its
-scaler fit and batch gather, and of split and audit, printed as one JSON
-object. The kernel layers are `LstmModel.forward`, `loss_and_gradients`
-and one `_Adam.step`, each at M = 1 and M = 10 stacked models (H 16,
-B 32, W 10, the kfold-lstm shape).
+scaler fit and batch gather, of one cell, and of split and audit, printed
+as one JSON object. The kernel layers are `LstmModel.forward`,
+`loss_and_gradients` and one `_Adam.step`, each at M = 1 and M = 10
+stacked models (H 16, B 32, W 10, the kfold-lstm shape).
 `train_many.k10` trains the ten training sets of the reference series'
 clean 10-fold split at W 10, L 3 (the kfold-lstm cell) for one epoch, as
 one stack of M = 10; besides its time, its tracemalloc peak in one call
 after the warm-up is reported per tree. On the same ten sets,
 `scaler_fit.k10` fits each set's `Scaler` as `train_many` does, and
 `windows.k10` gathers one stacked (10, B, W) input batch from the sets'
-buffers end to end in one flat array, as each `train_many` step does. The
+buffers end to end in one flat array, as each `train_many` step does.
+`cell.k10` is `runner._run_cell` on that cell with one repetition, one
+epoch and H 16: split, audit, one `train_many` stack, predict and score. The
 audit layers run on a series of 30,000 points at W = 10, L = 1 (the
 audit-30k shape): `split` of the leaky and the clean 10-fold spec, and
 `audit` and `minimal_clearing_gap` of the leaky 10-fold split's fold 1,
@@ -70,11 +72,13 @@ def _cases(package: str, src: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     sys.modules[package] = module
     spec.loader.exec_module(module)
-    forecaster, synthetic, series, windowing, splitting, audit = (
+    forecaster, synthetic, series, windowing, splitting, audit, runner = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("forecaster", "synthetic", "series", "windowing", "splitting", "audit"))
+        for name in ("forecaster", "synthetic", "series", "windowing", "splitting", "audit",
+                     "runner"))
     return {**_kernel_cases(forecaster),
             **_train_cases(forecaster, synthetic, windowing, splitting),
+            **_cell_cases(forecaster, synthetic, splitting, runner),
             **_audit_cases(series, windowing, splitting, audit)}
 
 
@@ -97,6 +101,17 @@ def _train_cases(forecaster, synthetic, windowing, splitting) -> dict:
                                    for t in trains],
         "windows.k10": lambda: windowing.windows(flat, pos, WINDOW),
     }
+
+
+def _cell_cases(forecaster, synthetic, splitting, runner) -> dict:
+    cfg = runner.ExperimentConfig(
+        name="cell.k10", dataset="reference", windows=(WINDOW,), lags=(TRAIN_LAG,),
+        plans=(splitting.SplitPlan.k_fold(TRAIN_FOLDS),), modes=("clean",),
+        train=forecaster.TrainConfig(epochs=1, batch_size=BATCH), hidden_size=HIDDEN,
+        repetitions=1, base_seed=0)
+    (specs,) = runner.grid_splits(cfg)
+    series = synthetic.reference_series()
+    return {"cell.k10": lambda: runner._run_cell(series, cfg, specs)}
 
 
 def _audit_cases(series, windowing, splitting, audit) -> dict:

@@ -18,6 +18,7 @@ restore, and scaling fitted on the training partition only.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -144,6 +145,9 @@ def unpack(vec: np.ndarray, hidden_size: int) -> dict[str, np.ndarray]:
 
 _scratch = threading.local()
 
+# Most pairs a forward-only pass puts through the kernel at once.
+FORWARD_CHUNK = 512
+
 
 def _scratch_arrays(name: str, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     """Contiguous float64 arrays of the given shapes, carved one after the
@@ -166,66 +170,113 @@ def _scratch_arrays(name: str, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
+@functools.cache
+def _per_gate_exact(batch: int, hidden_size: int) -> bool:
+    """Whether the four per-gate products (B, 2+H) @ (2+H, H) give what the
+    joint product (B, 2+H) @ (2+H, 4H) gives, bit for bit, on this BLAS.
+    The BLAS picks its kernel by shape, and kernels may sum the 2+H terms
+    in different orders (numpy itself hands a product with an axis of
+    length 1 to gemv or dot, not gemm), so this is tried once per shape, on
+    normal draws in as many stacked products as it takes to compare 4,096
+    entries, enough that a change of order shows."""
+    k, n = 2 + hidden_size, 4 * hidden_size
+    reps = -(-4096 // (batch * n))
+    rng = default_rng(0)
+    z = rng.normal(size=(reps, batch, k))
+    w = rng.normal(size=(reps, k, n))
+    w_gates = np.ascontiguousarray(w.reshape(reps, k, 4, hidden_size).transpose(2, 0, 1, 3))
+    per_gate = np.matmul(z[None], w_gates).transpose(1, 2, 0, 3).reshape(reps, batch, n)
+    return bool(np.array_equal(np.matmul(z, w), per_gate))
+
+
 def _forward(theta: np.ndarray, x: np.ndarray, hidden_size: int, bptt: bool):
     """Forward pass of M models at once: `theta` (M, P) and `x` (M, B, W)
     give predictions (M, B). Every product is a stacked matmul, which makes
-    the same GEMM call per model as a 2-D `@` on that model alone, so a
+    the same GEMM calls per model as a 2-D `@` on that model alone, so a
     model's numbers do not depend on which others share the call.
 
-    Step t writes x_t into z_t = [1, x_t, h_{t-1}] (M, B, 2+H) and
-    multiplies it by the gate matrix with the bias as its first row, so the
-    bias add is inside the GEMM. Its activations are stored gate-major,
-    (4, M, B, H) with blocks (i, f, o, g), so every elementwise op works on
-    contiguous blocks, and one tanh call covers all four gates:
-    sigmoid(a) = 0.5 + 0.5 tanh(a/2), with the halving folded into the
-    i/f/o rows of that matrix (exact, a power of two).
+    Step t keeps its activations in one block of five (M, B, H) slots
+    (i, f, o, g, c_{t-1}). z_t = [1, x_t, h_{t-1}] (M, B, 2+H) is multiplied
+    by the gate matrix with the bias as its first row, so the bias add is in
+    the GEMM, and one tanh covers the four gate slots: sigmoid(a) = 0.5 +
+    0.5 tanh(a/2), with the halving folded into the i/f/o columns (exact, a
+    power of two). Where `_per_gate_exact` allows, one broadcast matmul with
+    the per-gate matrices (4, M, 2+H, H) writes the gates straight into
+    their slots and tanh runs in place; elsewhere the joint (M, B, 4H)
+    product goes into the next block's spent gate slots and tanh reads it
+    gate-major from there. One multiply of the (i, f) slots by the
+    (g, c_{t-1}) slots writes i g and f c_{t-1} into the next block's
+    (g, c) slots, and one add leaves c_t in its c slot.
 
-    z, the activations and the cell states (c_0 = 0) live in time slots.
-    With `bptt` each step keeps its own, W+1 / W / W+1 of them, as caches
-    for the backward pass: z (M, W+1, B, 2+H), activations (W, 4, M, B, H)
-    and cell states (W+1, M, B, H). Without it a forward-only pass uses 2 /
-    1 / 2 slots in turn, so its scratch does not grow with W. The caches
-    come back with the (M, B, 4H) pre-activation buffer, free for the
-    backward pass to reuse; all are scratch arrays that a later call may
-    overwrite."""
+    With `bptt` each step keeps its own z and block for the backward pass,
+    W+1 of each, and tanh(c_t) in W cache slots: z (M, W+1, B, 2+H), blocks
+    (W+1, 5, M, B, H), tanh(c) (W, M, B, H); x goes into z once, before the
+    loop. These come back with h_W, as scratch arrays that a later call may
+    overwrite. The last block's four gate slots hold nothing the backward
+    pass reads, so it lays out its gate derivatives there.
+
+    Without `bptt` (None comes back in place of the caches) two z slots and
+    two blocks are used in turn, x_t goes into z at its step and tanh(c_t)
+    into the next block's spent g slot, and the batch axis runs in chunks
+    of at most FORWARD_CHUNK pairs, so the scratch grows with neither W nor
+    the size of a validation or test set. A pair's prediction does not
+    depend on the other pairs, but its last bits may depend on the batch
+    size the GEMMs see, so a batch of more than FORWARD_CHUNK pairs matches
+    the unchunked pass to rtol 1e-12 (with an absolute floor of 1e-12 times
+    the largest prediction), not bit for bit."""
     models, batch, steps = x.shape
     hs = hidden_size
+    if not bptt and batch > FORWARD_CHUNK:
+        y = np.empty((models, batch))
+        for lo in range(0, batch, FORWARD_CHUNK):
+            part = slice(lo, lo + FORWARD_CHUNK)
+            y[:, part] = _forward(theta, x[:, part], hs, False)[0]
+        return y, None
     slots = steps + 1 if bptt else 2
     w, b, w_out, b_out = _blocks(theta, hs)
-    z, act, c, tc, pre = _scratch_arrays(
+    z, blocks, tanh_c = _scratch_arrays(
         "forward",
         (models, slots, batch, 2 + hs),
-        (slots - 1, 4, models, batch, hs),
-        (slots, models, batch, hs),
-        (models, batch, hs),
-        (models, batch, 4 * hs),
+        (slots, 5, models, batch, hs),
+        (steps if bptt else 0, models, batch, hs),
     )
-    half = np.repeat([0.5, 0.5, 0.5, 1.0], hs)
-    w_aug = np.empty((models, 2 + hs, 4 * hs))
-    w_aug[:, 0] = b * half
-    np.multiply(w.transpose(0, 2, 1), half, out=w_aug[:, 1:])
+    w_gates = np.empty((4, models, 2 + hs, hs))
+    w_gates[:, :, 0] = b.reshape(models, 4, hs).transpose(1, 0, 2)
+    w_gates[:, :, 1:] = w.reshape(models, 4, hs, 1 + hs).transpose(1, 0, 3, 2)
+    w_gates[:3] *= 0.5
+    w_joint = None
+    if not _per_gate_exact(batch, hs):
+        w_joint = np.ascontiguousarray(w_gates.transpose(1, 2, 0, 3)).reshape(
+            models, 2 + hs, 4 * hs)
     z[..., 0] = 1.0
     z[:, 0, :, 2:] = 0.0
-    c[0] = 0.0
-    pre_gm = pre.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
+    blocks[0, 4] = 0.0
     z_x, x_t = z[..., 1], x.transpose(2, 0, 1)
+    if bptt:
+        z_x[:, :steps] = x.transpose(0, 2, 1)
     for t in range(steps):
-        now, later, gates = t % slots, (t + 1) % slots, act[t % (slots - 1)]
-        z_x[:, now] = x_t[t]
-        np.matmul(z[:, now], w_aug, out=pre)
-        np.tanh(pre_gm, out=gates)
-        sig = gates[:3]
+        now, later = t % slots, (t + 1) % slots
+        block, nxt = blocks[now], blocks[later]
+        if not bptt:
+            z_x[:, now] = x_t[t]
+        gates, sig = block[:4], block[:3]
+        if w_joint is None:
+            np.matmul(z[None, :, now], w_gates, out=gates)
+            np.tanh(gates, out=gates)
+        else:
+            pre = nxt[:4].reshape(models, batch, 4 * hs)
+            np.matmul(z[:, now], w_joint, out=pre)
+            np.tanh(pre.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3), out=gates)
         sig *= 0.5
         sig += 0.5
-        i, f, o, g = gates
-        np.multiply(f, c[now], out=c[later])
-        np.multiply(i, g, out=tc)
-        c[later] += tc
-        np.tanh(c[later], out=tc)
-        np.multiply(o, tc, out=z[:, later, :, 2:])
+        np.multiply(block[0:2], block[3:5], out=nxt[3:5])
+        np.add(nxt[3], nxt[4], out=nxt[4])
+        tc = tanh_c[t] if bptt else nxt[3]
+        np.tanh(nxt[4], out=tc)
+        np.multiply(block[2], tc, out=z[:, later, :, 2:])
     h = z[:, steps % slots, :, 2:]
     y = (h @ w_out[:, :, None])[..., 0] + b_out
-    return y, ((z, act, c, pre), h)
+    return y, (((z, blocks, tanh_c), h) if bptt else None)
 
 
 def loss_and_gradients(
@@ -235,15 +286,14 @@ def loss_and_gradients(
     `theta` (M, P), `x` (M, B, W) and `targets` (M, B) give losses (M,) and
     gradients (M, P), each row in the parameter layout.
 
-    Each step forms its gate derivatives gate-major in per-step scratch
-    buffers, then lays them out once as rows (M, B, 4H) for two GEMMs: with
-    z_t it adds the step's gate matrix and bias gradients (the bias is z's
-    first column), and with the recurrent weights it gives dh_{t-1}
-    (skipped at t = 0). tanh(c_t) is recomputed, not cached, so the
-    scratch is no larger than the cache of the plain per-step kernel."""
+    Each step forms its gate derivatives gate-major in a per-step scratch
+    buffer, reading the forward pass's block and tanh(c_t) cache, then lays
+    them out once as rows (M, B, 4H) for two GEMMs: with z_t it adds the
+    step's gate matrix and bias gradients (the bias is z's first column),
+    and with the recurrent weights it gives dh_{t-1} (skipped at t = 0)."""
     models, batch, steps = x.shape
     hs = hidden_size
-    y, ((z, act, c, rows), h_last) = _forward(theta, x, hs, True)
+    y, ((z, blocks, tanh_c), h_last) = _forward(theta, x, hs, True)
     resid = y - targets
     loss = np.mean(resid**2, axis=1)
 
@@ -254,38 +304,37 @@ def loss_and_gradients(
     dy = 2.0 * resid / batch
     dw_out[:] = (h_last.transpose(0, 2, 1) @ dy[:, :, None])[..., 0]
     db_out[:, 0] = dy.sum(axis=1)
-    # `rows`, the (M, B, 4H) layout of a step's gate derivatives, reuses the
-    # forward's pre-activation buffer.
-    dw_aug, dw_step, da, dh, dc, tc = _scratch_arrays(
+    dw_aug, dw_step, da, dh, dc = _scratch_arrays(
         "backward",
         (models, 4 * hs, 2 + hs),
         (models, 4 * hs, 2 + hs),
         (4, models, batch, hs),
-        *[(models, batch, hs)] * 3,
+        *[(models, batch, hs)] * 2,
     )
+    # `rows`, the (M, B, 4H) layout of a step's gate derivatives, is the
+    # last block's gate slots, which the forward pass leaves unused.
+    rows = blocks[steps, :4].reshape(models, batch, 4 * hs)
     np.multiply(dy[:, :, None], w_out[:, None, :], out=dh)
     dc[...] = 0.0
     dw_aug[...] = 0.0
     rows_gm = rows.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
     for t in range(steps - 1, -1, -1):
-        sig = act[t, :3]
-        i, f, o, g = act[t]
-        np.tanh(c[t + 1], out=tc)
-        # dc += dh o (1 - tanh(c_t)^2), with da[3] as scratch
+        block, tc = blocks[t], tanh_c[t]
+        sig = block[:3]
+        i, f, o, g, _ = block
+        # da[:3] = s - s^2 for i, f, o and da[3] = (1 - tanh(c_t)^2) o; then
+        # o's times dh tanh(c_t), and dc += da[3] dh
+        np.multiply(sig, sig, out=da[:3])
+        np.subtract(sig, da[:3], out=da[:3])
         np.multiply(tc, tc, out=da[3])
         np.subtract(1.0, da[3], out=da[3])
         da[3] *= o
-        da[3] *= dh
-        dc += da[3]
-        # i, f, o: s - s^2 times dc g, dc c_{t-1} and dh tanh(c_t)
-        np.multiply(sig, sig, out=da[:3])
-        np.subtract(sig, da[:3], out=da[:3])
-        da[0] *= dc
-        da[0] *= g
-        da[1] *= dc
-        da[1] *= c[t]
-        da[2] *= dh
+        da[2:4] *= dh
         da[2] *= tc
+        dc += da[3]
+        # i, f: times dc, then g and c_{t-1}
+        da[0:2] *= dc
+        da[0:2] *= block[3:5]
         # g: (1 - g^2) dc i
         np.multiply(g, g, out=da[3])
         np.subtract(1.0, da[3], out=da[3])

@@ -15,6 +15,7 @@ from leakbench.errors import TrainingError
 from leakbench.forecaster import (
     LstmModel,
     _Adam,
+    _blocks,
     _forward,
     Scaler,
     TrainConfig,
@@ -290,6 +291,195 @@ class TestKernelOracle:
         bptt, _ = _forward(theta, x, 4, True)
         bptt = bptt.copy()  # both calls may share one scratch buffer
         assert np.array_equal(_forward(theta, x, 4, False)[0], bptt)
+
+
+# The tolerance of a forward-only pass of more than FORWARD_CHUNK pairs
+# against the same pass unchunked, with the absolute floor of the oracle
+# test for predictions near zero.
+FORWARD_CHUNK_RTOL = 1e-12
+
+
+def reference_forward(theta, x, hidden_size, bptt):
+    """The forward pass as it was before the per-gate block layout, frozen
+    here as the reference the kernel must match bit for bit: one joint
+    (M, B, 4H) GEMM a step, tanh of its gate-major view into (4, M, B, H),
+    cell states in slots of their own. Returns predictions and the caches
+    `reference_loss_and_gradients` reads."""
+    models, batch, steps = x.shape
+    hs = hidden_size
+    slots = steps + 1 if bptt else 2
+    w, b, w_out, b_out = _blocks(theta, hs)
+    z = np.empty((models, slots, batch, 2 + hs))
+    act = np.empty((slots - 1, 4, models, batch, hs))
+    c = np.empty((slots, models, batch, hs))
+    tc = np.empty((models, batch, hs))
+    pre = np.empty((models, batch, 4 * hs))
+    half = np.repeat([0.5, 0.5, 0.5, 1.0], hs)
+    w_aug = np.empty((models, 2 + hs, 4 * hs))
+    w_aug[:, 0] = b * half
+    np.multiply(w.transpose(0, 2, 1), half, out=w_aug[:, 1:])
+    z[..., 0] = 1.0
+    z[:, 0, :, 2:] = 0.0
+    c[0] = 0.0
+    pre_gm = pre.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
+    z_x, x_t = z[..., 1], x.transpose(2, 0, 1)
+    for t in range(steps):
+        now, later, gates = t % slots, (t + 1) % slots, act[t % (slots - 1)]
+        z_x[:, now] = x_t[t]
+        np.matmul(z[:, now], w_aug, out=pre)
+        np.tanh(pre_gm, out=gates)
+        sig = gates[:3]
+        sig *= 0.5
+        sig += 0.5
+        i, f, o, g = gates
+        np.multiply(f, c[now], out=c[later])
+        np.multiply(i, g, out=tc)
+        c[later] += tc
+        np.tanh(c[later], out=tc)
+        np.multiply(o, tc, out=z[:, later, :, 2:])
+    h = z[:, steps % slots, :, 2:]
+    y = (h @ w_out[:, :, None])[..., 0] + b_out
+    return y, ((z, act, c, pre), h)
+
+
+def reference_loss_and_gradients(theta, x, targets, hidden_size):
+    """`loss_and_gradients` as it was before the per-gate block layout,
+    frozen with `reference_forward`: tanh(c_t) recomputed in the backward
+    pass, each derivative factor multiplied in by an op of its own."""
+    models, batch, steps = x.shape
+    hs = hidden_size
+    y, ((z, act, c, rows), h_last) = reference_forward(theta, x, hs, True)
+    resid = y - targets
+    loss = np.mean(resid**2, axis=1)
+    w, _, w_out, _ = _blocks(theta, hs)
+    w_h = w[..., 1:]
+    grad = np.zeros_like(theta)
+    dw, db, dw_out, db_out = _blocks(grad, hs)
+    dy = 2.0 * resid / batch
+    dw_out[:] = (h_last.transpose(0, 2, 1) @ dy[:, :, None])[..., 0]
+    db_out[:, 0] = dy.sum(axis=1)
+    dw_aug = np.zeros((models, 4 * hs, 2 + hs))
+    dw_step = np.empty((models, 4 * hs, 2 + hs))
+    da = np.empty((4, models, batch, hs))
+    dh, dc, tc = (np.empty((models, batch, hs)) for _ in range(3))
+    np.multiply(dy[:, :, None], w_out[:, None, :], out=dh)
+    dc[...] = 0.0
+    rows_gm = rows.reshape(models, batch, 4, hs).transpose(2, 0, 1, 3)
+    for t in range(steps - 1, -1, -1):
+        sig = act[t, :3]
+        i, f, o, g = act[t]
+        np.tanh(c[t + 1], out=tc)
+        np.multiply(tc, tc, out=da[3])
+        np.subtract(1.0, da[3], out=da[3])
+        da[3] *= o
+        da[3] *= dh
+        dc += da[3]
+        np.multiply(sig, sig, out=da[:3])
+        np.subtract(sig, da[:3], out=da[:3])
+        da[0] *= dc
+        da[0] *= g
+        da[1] *= dc
+        da[1] *= c[t]
+        da[2] *= dh
+        da[2] *= tc
+        np.multiply(g, g, out=da[3])
+        np.subtract(1.0, da[3], out=da[3])
+        da[3] *= dc
+        da[3] *= i
+        np.copyto(rows_gm, da)
+        np.matmul(rows.transpose(0, 2, 1), z[:, t], out=dw_step)
+        dw_aug += dw_step
+        if t:
+            np.matmul(rows, w_h, out=dh)
+            dc *= f
+    db[:] = dw_aug[..., 0]
+    dw[:] = dw_aug[..., 1:]
+    return loss, grad
+
+
+def assert_matches_reference(theta, x, targets, h):
+    """Losses, gradients and predictions (BPTT and forward-only) equal the
+    frozen reference's bit for bit."""
+    want_loss, want_grad = reference_loss_and_gradients(theta, x, targets, h)
+    want_y = reference_forward(theta, x, h, False)[0]
+    loss, grad = loss_and_gradients(theta, x, targets, h)
+    assert np.array_equal(loss, want_loss)
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(_forward(theta, x, h, True)[0], want_y)
+    assert np.array_equal(_forward(theta, x, h, False)[0], want_y)
+
+
+class TestKernelReference:
+    """The block-layout kernel against the frozen joint-GEMM kernel it
+    replaced, bit for bit, and the mechanisms that make it cheaper."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        models=st.integers(1, 4),
+        batch=st.integers(1, 40),
+        steps=st.integers(1, 12),
+        h=st.integers(1, 16),
+    )
+    def test_bit_identical_to_reference(self, seed, models, batch, steps, h):
+        assert_matches_reference(*random_stack(seed, models, batch, steps, h), h)
+
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    @pytest.mark.parametrize("h", range(1, 17))
+    def test_bit_identical_at_every_hidden_size(self, batch, h):
+        # B = 1 and H = 1 make numpy use gemv or dot, not gemm, and the
+        # BLAS picks its gemm kernel by shape.
+        for steps in (1, 3):
+            assert_matches_reference(*random_stack(batch * 100 + h, 3, batch, steps, h), h)
+
+    def test_joint_product_path_bit_identical(self, monkeypatch):
+        # Where the per-gate products would not match the joint one, the
+        # forward pass takes the joint product; here it is taken at every
+        # shape, H = 16 included.
+        monkeypatch.setattr(forecaster, "_per_gate_exact", lambda batch, h: False)
+        for batch, h in ((1, 16), (7, 5), (32, 16)):
+            assert_matches_reference(*random_stack(batch * 100 + h, 3, batch, 4, h), h)
+
+    def test_bit_identical_at_benchmark_shape(self):
+        # kfold-lstm: 10 folds, batch 32, W = 10, H = 16
+        assert_matches_reference(*random_stack(2025, 10, 32, 10, 16), 16)
+
+    def test_forward_only_bit_identical_on_the_largest_test_set(self):
+        # The desk grid's 2-way test set, 291 pairs, is the largest forward-
+        # only batch of the desk, benchmark and acceptance runs.
+        assert 291 <= forecaster.FORWARD_CHUNK
+        theta, x, _ = random_stack(291, 10, 291, 10, 16)
+        assert np.array_equal(_forward(theta, x, 16, False)[0],
+                              reference_forward(theta, x, 16, False)[0])
+
+    def test_backward_reads_the_cached_tanh_of_the_cell_state(self, monkeypatch):
+        # Two tanh calls a step, both in the forward pass: the gates and c_t.
+        calls = []
+        real_tanh = np.tanh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_tanh(*args, **kwargs)
+
+        theta, x, targets = random_stack(7, 3, 8, 5, 4)
+        monkeypatch.setattr(forecaster.np, "tanh", counted)
+        loss_and_gradients(theta, x, targets, 4)
+        assert len(calls) == 2 * 5
+
+    @pytest.mark.parametrize("h", [15, 16])
+    def test_chunked_forward_only_pass_within_tolerance(self, h):
+        # 1,100 pairs: two whole chunks and one of 76. A chunk is the same
+        # call as that chunk alone; against the unchunked pass the batch
+        # size the GEMMs see can move the last bits.
+        chunk = forecaster.FORWARD_CHUNK
+        theta, x, _ = random_stack(1100 + h, 3, 2 * chunk + 76, 10, h)
+        y = _forward(theta, x, h, False)[0]
+        for lo in range(0, x.shape[1], chunk):
+            part = slice(lo, lo + chunk)
+            assert np.array_equal(y[:, part], _forward(theta, x[:, part], h, False)[0])
+        whole = reference_forward(theta, x, h, False)[0]
+        np.testing.assert_allclose(y, whole, rtol=FORWARD_CHUNK_RTOL,
+                                   atol=FORWARD_CHUNK_RTOL * np.abs(whole).max())
 
 
 class TestScaler:
@@ -632,6 +822,24 @@ class TestTrainMany:
         train_many([(res.train, res.val, 0)], cfg, 16)
         kept = forecaster._scratch.buffers["forward"].size
         assert kept <= training
+
+    def test_forward_only_scratch_is_bounded_by_the_chunk(self):
+        # Ten 3-way jobs on a 30,000-point series, 2,990 validation pairs
+        # each: unchunked, validation kept 6,338,800 floats (48.4 MiB).
+        n, w, h, models = 30_000, 10, 16, 10
+        values = np.random.default_rng(0).normal(size=n)
+        (res,) = split(make_series(values), SplitSpec(
+            plan=SplitPlan.three_way(), mode="clean", window=WindowConfig(w, 1)
+        ))
+        assert len(res.val) == 2990
+        cfg = TrainConfig(epochs=1)
+        forget_scratch()
+        train_many([(res.train, res.val, seed) for seed in range(models)], cfg, h)
+        # A training batch: z, blocks and tanh(c); a forward-only chunk: two
+        # z slots and two blocks.
+        training = models * cfg.batch_size * ((w + 1) * (2 + h + 5 * h) + w * h)
+        chunk = models * forecaster.FORWARD_CHUNK * 2 * (2 + h + 5 * h)
+        assert forecaster._scratch.buffers["forward"].size <= max(training, chunk)
 
     def test_single_job(self):
         seqs = make_sequences(np.sin(np.arange(60.0) / 5.0), WindowConfig(5, 1))

@@ -26,7 +26,7 @@ def test_layers_script_times_every_layer_of_each_tree():
         assert set(layers) == {
             f"{layer}.m{m}" for layer in ("forward", "loss_and_gradients", "adam_step")
             for m in (1, 10)
-        } | {"train_many.k10", "scaler_fit.k10", "windows.k10",
+        } | {"train_many.k10", "scaler_fit.k10", "windows.k10", "cell.k10",
              "split.leaky.k10", "split.clean.k10"} | {
             f"{layer}.{plan}" for layer in ("audit", "minimal_clearing_gap")
             for plan in ("k10", "2way", "random.k10")
