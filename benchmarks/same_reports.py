@@ -1,6 +1,7 @@
 """Check that two checkouts write the same reports: run `leakbench run` and
 `leakbench audit` from each one's `src` on the fast variants of the desk
-grid and compare what they write.
+grid, read each run back with `leakbench report --format csv`, and compare
+what they write.
 
     python3 benchmarks/same_reports.py --parent DIR --change DIR
 
@@ -15,9 +16,10 @@ is in) with these changes:
   repetitions.
 
 Both checkouts read one copy of the bundled reference series, written by
-the parent's `leakbench synth`. `cells.csv`, `gains.csv`, `runs.csv` and
-`audits.csv` must be equal byte for byte, and `report.json` equal apart
-from `provenance.created_utc`. Prints one line per variant and exits 1 if
+the parent's `leakbench synth`. `cells.csv`, `gains.csv`, `runs.csv`,
+`audits.csv` and the CSVs that `report` re-emits from `report.json` into
+`reemit/` must be equal byte for byte, and `report.json` equal apart from
+`provenance.created_utc`. Prints one line per variant and exits 1 if
 any file differs, naming each one. Needs only the standard library.
 """
 
@@ -39,7 +41,9 @@ VARIANTS = {
     "random-linear_ar": {"model": "linear_ar", "modes": ["leaky"], "order": "random",
                          "repetitions": 3},
 }
-BYTE_FILES = ("cells.csv", "gains.csv", "runs.csv", "audits.csv")
+REEMIT = "reemit"
+BYTE_FILES = ("cells.csv", "gains.csv", "runs.csv", "audits.csv",
+              *(f"{REEMIT}/{name}" for name in ("cells.csv", "gains.csv", "runs.csv")))
 
 
 def variant_config(overrides: dict, dataset: Path) -> dict:
@@ -101,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 tree, out = getattr(args, side).resolve(), work / name / side
                 leakbench(tree, "run", str(config), "--out", str(out))
                 leakbench(tree, "audit", str(config), "--out", str(out))
+                leakbench(tree, "report", str(out), "--format", "csv", "--out", str(out / REEMIT))
                 outs.append(out)
             differ = differing_files(*outs)
             failed = failed or bool(differ)

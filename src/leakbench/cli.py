@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--seed", type=int, default=None)
     p_audit.add_argument("--out", default=None, help="write audits.csv here")
 
-    p_gain = sub.add_parser("gain", help="recompute gains from two prior cells.csv reports")
-    p_gain.add_argument("clean_csv")
-    p_gain.add_argument("leaky_csv")
+    p_gain = sub.add_parser("gain", help="gains of one saved run's clean cells against "
+                                         "another's leaky cells")
+    p_gain.add_argument("clean_run", help="run directory or report.json of the clean run")
+    p_gain.add_argument("leaky_run", help="run directory or report.json of the leaky run")
     p_gain.add_argument("--out", default=None, help="write gains.csv here (default stdout)")
 
     p_report = sub.add_parser("report", help="re-emit a saved run as csv or json")
@@ -184,7 +185,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gain(args) -> int:
-    _emit(args.out, "gains.csv", gains_csv(recompute_gains(args.clean_csv, args.leaky_csv)))
+    _emit(args.out, "gains.csv", gains_csv(recompute_gains(args.clean_run, args.leaky_run)))
     return EXIT_OK
 
 

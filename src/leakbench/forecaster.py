@@ -219,14 +219,15 @@ def _forward(theta: np.ndarray, x: np.ndarray, hidden_size: int, bptt: bool):
     two blocks are used in turn, x_t goes into z at its step and tanh(c_t)
     into the next block's spent g slot, and the batch axis runs in chunks
     of at most FORWARD_CHUNK pairs, so the scratch grows with neither W nor
-    the size of a validation or test set. A pair's prediction does not
-    depend on the other pairs, but its last bits may depend on the batch
-    size the GEMMs see, so a batch of more than FORWARD_CHUNK pairs matches
-    the unchunked pass to rtol 1e-12 (with an absolute floor of 1e-12 times
-    the largest prediction), not bit for bit."""
+    the size of a validation or test set (an empty one runs no chunk and
+    gives (M, 0)). A pair's prediction does not depend on the other pairs,
+    but its last bits may depend on the batch size the GEMMs see, so a
+    batch of more than FORWARD_CHUNK pairs matches the unchunked pass to
+    rtol 1e-12 (with an absolute floor of 1e-12 times the largest
+    prediction), not bit for bit."""
     models, batch, steps = x.shape
     hs = hidden_size
-    if not bptt and batch > FORWARD_CHUNK:
+    if not bptt and not 0 < batch <= FORWARD_CHUNK:
         y = np.empty((models, batch))
         for lo in range(0, batch, FORWARD_CHUNK):
             part = slice(lo, lo + FORWARD_CHUNK)
@@ -473,8 +474,9 @@ class _JobState:
     ):
         if len(train_set) == 0:
             raise TrainingError("empty training set")
-        if cfg.early_stopping and val_set is not None and len(val_set) == 0:
-            raise TrainingError("early stopping requires a non-empty monitor set")
+        if val_set is not None and len(val_set) == 0:
+            raise TrainingError("early stopping requires a non-empty monitor set"
+                                if cfg.early_stopping else "empty validation set")
         self.index = index
         self.train_set, self.val_set = train_set, val_set
         self.n = len(train_set)
@@ -665,8 +667,6 @@ def train_many(
 
 def predict(model: LstmModel, scaler: Scaler, seqs: SequenceSet) -> np.ndarray:
     """One prediction per pair, inverse-scaled back to original units."""
-    if len(seqs) == 0:
-        return np.zeros(0)
     x = windows(scaler.transform(seqs.values), seqs.starts, seqs.config.window_size)
     return scaler.inverse_transform(model.forward(x))
 

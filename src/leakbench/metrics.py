@@ -151,8 +151,11 @@ def _t975(df: int) -> float:
 
 def rmse_gain(clean: float, leaky: float) -> tuple[float, str]:
     """(gain_percent, direction) for one clean/leaky RMSE pair."""
-    if clean <= 0:
-        raise LeakbenchError(f"clean RMSE must be positive, got {clean}")
+    # `nan <= 0` is False, so a NaN would pass a bare sign test.
+    if not (math.isfinite(clean) and clean > 0):
+        raise LeakbenchError(f"clean RMSE must be finite and positive, got {clean}")
+    if not (math.isfinite(leaky) and leaky >= 0):
+        raise LeakbenchError(f"leaky RMSE must be finite and non-negative, got {leaky}")
     gain = (clean - leaky) / clean * 100.0
     return gain, ("up" if gain > 0 else "down")
 

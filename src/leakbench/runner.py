@@ -11,7 +11,6 @@ it, so the run can be replayed.
 
 from __future__ import annotations
 
-import csv
 import importlib.util
 import json
 import numbers
@@ -478,29 +477,26 @@ def run_experiment(
     )
 
 
-def _ranked_gains(means: dict[tuple, tuple[float, float]]) -> list[GainRecord]:
-    """One GainRecord per (window, lag, plan) key of (clean, leaky) mean
-    RMSEs, ordered by window, lag and plan and ranked inside each
-    (window, lag) group."""
-    groups: dict[tuple, list[GainRecord]] = {}
-    for window, lag, plan in sorted(means, key=lambda k: (k[0], k[1], plan_sort_key(k[2]))):
-        clean, leaky = means[(window, lag, plan)]
-        groups.setdefault((window, lag), []).append(
-            GainRecord(window, lag, plan, clean, leaky, *rmse_gain(clean, leaky))
-        )
-    return [r for key in sorted(groups) for r in leakage_rank(groups[key])]
-
-
-def _pair_gains(cells: list[CellResult]) -> list[GainRecord]:
-    """One GainRecord per (window, lag, plan) with both modes present."""
+def _pair_gains(cells: Sequence[CellResult]) -> list[GainRecord]:
+    """One GainRecord per (window, lag, plan) with both modes present,
+    ordered by window, lag and plan and ranked inside each (window, lag)
+    group. A cell that repeats another's (window, lag, plan, mode) is a
+    DataError."""
     by_coord: dict[tuple, dict[str, float]] = {}
     for c in cells:
-        by_coord.setdefault((c.window, c.lag, c.plan), {})[c.mode] = c.stats.mean
-    return _ranked_gains({
-        coord: (modes["clean"], modes["leaky"])
-        for coord, modes in by_coord.items()
-        if "clean" in modes and "leaky" in modes
-    })
+        modes = by_coord.setdefault((c.window, c.lag, c.plan), {})
+        if c.mode in modes:
+            raise DataError(f"repeats cell W={c.window} L={c.lag} plan={c.plan} mode={c.mode}")
+        modes[c.mode] = c.stats.mean
+    groups: dict[tuple, list[GainRecord]] = {}
+    for window, lag, plan in sorted(by_coord, key=lambda k: (k[0], k[1], plan_sort_key(k[2]))):
+        modes = by_coord[(window, lag, plan)]
+        if "clean" in modes and "leaky" in modes:
+            groups.setdefault((window, lag), []).append(GainRecord(
+                window, lag, plan, modes["clean"], modes["leaky"],
+                *rmse_gain(modes["clean"], modes["leaky"]),
+            ))
+    return [r for key in sorted(groups) for r in leakage_rank(groups[key])]
 
 
 def _fmt(x) -> str:
@@ -579,49 +575,28 @@ def gains_csv(records: Sequence[GainRecord]) -> str:
 
 
 def load_report(path: str | Path) -> ExperimentReport:
+    """The report of a saved run: a run directory or its report.json. A
+    report that does not parse is an error naming the file."""
     p = Path(path)
     if p.is_dir():
         p = p / "report.json"
-    return ExperimentReport.from_dict(_read_json(p, "no report found at"))
+    data = _read_json(p, "no report found at")
+    try:
+        return ExperimentReport.from_dict(data)
+    except LeakbenchError as exc:
+        raise DataError(f"{p}: {exc}") from exc
 
 
-def recompute_gains(clean_csv: str | Path, leaky_csv: str | Path) -> list[GainRecord]:
-    """Rebuild gain records from two previously written cells.csv files
-    (a leading byte-order mark is skipped), matching (window, lag, plan)
-    between clean rows and leaky rows."""
-    def read_means(path: str | Path, mode: str) -> dict[tuple, float]:
-        p = Path(path)
-        if not p.exists():
-            raise LeakbenchError(f"no such report file: {p}")
-        means: dict[tuple, float] = {}
-        with reading(p), open(p, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            for col in ("window", "lag", "plan", "mode", "mean"):
-                if col not in (reader.fieldnames or ()):
-                    raise DataError(f"{p}: missing column '{col}' (have {reader.fieldnames})")
-            for row in reader:
-                if row["mode"] != mode:
-                    continue
-                try:
-                    key = (int(row["window"]), int(row["lag"]), row["plan"])
-                    mean = float(row["mean"])
-                except (TypeError, ValueError) as exc:
-                    raise DataError(
-                        f"{p}: line {reader.line_num}: cannot parse row: {exc}"
-                    ) from exc
-                if key in means:
-                    raise DataError(
-                        f"{p}: line {reader.line_num}: repeats cell W={key[0]} "
-                        f"L={key[1]} plan={key[2]} mode={mode}"
-                    )
-                means[key] = mean
-        if not means:
-            raise LeakbenchError(f"{p}: no rows with mode={mode!r}")
-        return means
-
-    clean = read_means(clean_csv, "clean")
-    leaky = read_means(leaky_csv, "leaky")
-    shared = {key: (clean[key], leaky[key]) for key in clean if key in leaky}
-    if not shared:
-        raise LeakbenchError("no matching (window, lag, plan) cells between the reports")
-    return _ranked_gains(shared)
+def recompute_gains(clean_run: str | Path, leaky_run: str | Path) -> list[GainRecord]:
+    """Gain records of the clean cells of one saved run against the leaky
+    cells of another, matched on (window, lag, plan). Each run is a run
+    directory or its report.json, as `load_report` takes."""
+    cells = [
+        c for run, mode in ((clean_run, "clean"), (leaky_run, "leaky"))
+        for c in load_report(run).cells if c.mode == mode
+    ]
+    gains = _pair_gains(cells)
+    if not gains:
+        raise LeakbenchError(f"no (window, lag, plan) has a clean cell in {clean_run} "
+                             f"and a leaky cell in {leaky_run}")
+    return gains

@@ -5,7 +5,8 @@ buffer; no pair is stored as an object of its own. The pair that starts at
 raw index t has its window on [t, t+W-1] and its target at t+W+L-1, so with
 lag step L=1 the target is the observation immediately after the window.
 Its footprint [t, t+W) plus {t+W+L-1} is what the leakage audit intersects,
-as boolean masks over raw indices built from the starts.
+built from the starts: as half-open intervals where each set is a few runs
+of consecutive starts, else as boolean masks over raw indices.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -235,16 +236,6 @@ class TestByteOrderMark:
         for name in ("cells.csv", "gains.csv", "runs.csv"):
             assert (re_out / name).read_bytes() == (out / name).read_bytes(), name
 
-    def test_cells_csv(self, tmp_path, capsys):
-        # The mark sticks to the first column's name when it is not skipped.
-        cells = tmp_path / "cells.csv"
-        cells.write_text("window,lag,plan,mode,mean\n5,1,2-way,clean,1.5\n5,1,2-way,leaky,1.2\n")
-        assert main(["gain", str(cells), str(cells)]) == 0
-        plain = capsys.readouterr().out
-        bom = str(with_bom(cells))
-        assert main(["gain", bom, bom]) == 0
-        assert capsys.readouterr().out == plain
-
 
 class TestOutIsAFile:
     """An --out that names an existing file, or lies under one, exits 2
@@ -282,8 +273,7 @@ class TestOutIsAFile:
         capsys.readouterr()
         taken = tmp_path / "taken"
         taken.write_text("keep me")
-        cells = str(run_out / "cells.csv")
-        assert main(["gain", cells, cells, "--out", str(taken)]) == 2
+        assert main(["gain", str(run_out), str(run_out), "--out", str(taken)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: output directory {taken}: {taken} is not a directory\n"
@@ -350,62 +340,95 @@ class TestAudit:
         assert int(row.split(",")[7]) == report.cells[0].audits[0].overlap_count == 1335
 
 
+def run_report(tmp_path, climate_csv, name: str, **overrides) -> Path:
+    """The report.json that `leakbench run` writes for the test config."""
+    out = tmp_path / name
+    assert main(["run", write_config(tmp_path, climate_csv, **overrides), "--out", str(out)]) == 0
+    return out / "report.json"
+
+
+def edit_report(path: Path, edit) -> str:
+    """Rewrite the report.json at `path` with `edit` applied to its parsed
+    content; its path as a string."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    edit(report)
+    path.write_text(json.dumps(report), encoding="utf-8")
+    return str(path)
+
+
 class TestGain:
     def test_recomputes_from_reports(self, tmp_path, climate_csv, capsys):
-        cfg = write_config(tmp_path, climate_csv)
-        out = tmp_path / "run-out"
-        main(["run", cfg, "--out", str(out)])
+        out = run_report(tmp_path, climate_csv, "run-out").parent
         capsys.readouterr()  # drop the run command's output
-        cells = str(out / "cells.csv")
-        assert main(["gain", cells, cells]) == 0
+        assert main(["gain", str(out), str(out)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "window,lag,plan,clean,leaky,gain_percent,direction,rank"
         assert len(lines) == 3  # header + 2 plans
 
     def test_matches_run_gains(self, tmp_path, climate_csv):
-        cfg = write_config(tmp_path, climate_csv)
-        out = tmp_path / "run-out2"
-        main(["run", cfg, "--out", str(out)])
+        out = run_report(tmp_path, climate_csv, "run-out2").parent
         gain_out = tmp_path / "gain-out"
-        assert main([
-            "gain", str(out / "cells.csv"), str(out / "cells.csv"),
-            "--out", str(gain_out),
-        ]) == 0
+        assert main(["gain", str(out), str(out / "report.json"), "--out", str(gain_out)]) == 0
         assert (gain_out / "gains.csv").read_bytes() == (out / "gains.csv").read_bytes()
+
+    def test_clean_only_and_leaky_only_runs_give_the_both_modes_gains(self, tmp_path,
+                                                                      climate_csv):
+        # A cell's seeds come from its own coordinates, so each one-mode run
+        # has the cells of the run with both modes.
+        both = run_report(tmp_path, climate_csv, "both").parent
+        clean = run_report(tmp_path, climate_csv, "clean", modes=["clean"]).parent
+        leaky = run_report(tmp_path, climate_csv, "leaky", modes=["leaky"]).parent
+        gain_out = tmp_path / "gain-out"
+        assert main(["gain", str(clean), str(leaky), "--out", str(gain_out)]) == 0
+        assert (gain_out / "gains.csv").read_bytes() == (both / "gains.csv").read_bytes()
+
+    def test_runs_without_a_shared_cell_are_an_error(self, tmp_path, climate_csv, capsys):
+        clean = run_report(tmp_path, climate_csv, "clean", modes=["clean"]).parent
+        capsys.readouterr()
+        assert main(["gain", str(clean), str(clean)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no (window, lag, plan) has a clean cell in {clean} "
+            f"and a leaky cell in {clean}\n")
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["gain", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
 
-    def test_missing_column_is_data_error(self, tmp_path, capsys):
-        p = tmp_path / "cells.csv"
-        p.write_text("name,lag,plan,mode,mean\nx,1,2-way,clean,1.5\n")
-        assert main(["gain", str(p), str(p)]) == 2
-        err = capsys.readouterr().err
-        assert str(p) in err and "missing column 'window'" in err
+    def test_missing_key_is_data_error(self, tmp_path, climate_csv, capsys):
+        p = edit_report(run_report(tmp_path, climate_csv, "run"),
+                        lambda report: report["cells"][0]["stats"].pop("mean"))
+        assert main(["gain", p, p]) == 2
+        assert capsys.readouterr().err == f"error: {p}: missing required key 'mean'\n"
 
-    def test_unparsable_row_is_data_error(self, tmp_path, capsys):
-        p = tmp_path / "cells.csv"
-        p.write_text(
-            "name,window,lag,plan,mode,mean\n"
-            "x,5,1,2-way,clean,1.5\n"
-            "x,ten,1,2-way,clean,1.5\n"
-        )
-        assert main(["gain", str(p), str(p)]) == 2
-        err = capsys.readouterr().err
-        assert f"{p}: line 3: cannot parse row" in err
+    def test_wrongly_typed_mean_is_data_error(self, tmp_path, climate_csv, capsys):
+        def edit(report):
+            report["cells"][0]["stats"]["mean"] = "1.5"
 
-    def test_repeated_cell_is_data_error(self, tmp_path, capsys):
-        # two 2-way plans (50/50 and 60/40) share one label
-        p = tmp_path / "cells.csv"
-        p.write_text(
-            "name,window,lag,plan,mode,mean\n"
-            "x,10,1,2-way,clean,1.4366\n"
-            "x,10,1,2-way,leaky,1.43\n"
-            "x,10,1,2-way,clean,1.4928\n"
-        )
-        assert main(["gain", str(p), str(p)]) == 2
+        p = edit_report(run_report(tmp_path, climate_csv, "run"), edit)
+        assert main(["gain", p, p]) == 2
+        assert capsys.readouterr().err == f"error: {p}: key 'mean': expected a number, got '1.5'\n"
+
+    def test_repeated_cell_is_data_error(self, tmp_path, climate_csv, capsys):
+        # a hand-edited or merged report: one cell twice
+        def edit(report):
+            report["cells"].append(next(c for c in report["cells"] if c["mode"] == "clean"))
+
+        p = edit_report(run_report(tmp_path, climate_csv, "run"), edit)
+        capsys.readouterr()
+        assert main(["gain", p, p]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {p}: line 4: repeats cell W=10 L=1 plan=2-way mode=clean\n"
+        assert captured.err == "error: repeats cell W=5 L=1 plan=2-way mode=clean\n"
+        assert captured.out == ""
+
+    def test_non_finite_mean_is_data_error(self, tmp_path, climate_csv, capsys):
+        # JSON's NaN parses as a float; it once became a nan gain, direction "down"
+        def edit(report):
+            next(c for c in report["cells"] if c["mode"] == "clean")["stats"]["mean"] = math.nan
+
+        p = edit_report(run_report(tmp_path, climate_csv, "run"), edit)
+        capsys.readouterr()
+        assert main(["gain", p, p]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: clean RMSE must be finite and positive, got nan\n"
         assert captured.out == ""
 
 

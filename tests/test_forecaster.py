@@ -86,6 +86,10 @@ class TestForward:
             hand_unrolled_reference(x), abs=1e-12
         )
 
+    def test_zero_rows_give_an_empty_prediction(self):
+        # The kernel's per-gate probe divides by the batch size.
+        assert LstmModel(4).forward(np.zeros((0, 5))).shape == (0,)
+
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(7)
         model = LstmModel.initialize(6, rng)
@@ -869,6 +873,20 @@ class TestTrainMany:
             train_set, val_set, seed = jobs[index]
             (alone,) = train_many([(train_set, val_set, seed)], cfg, 4)
             assert_same_fit(many[index], alone)
+
+    def test_an_empty_validation_set_fails_alone(self):
+        # Without early stopping too: a zero-pair validation pass would reach
+        # the kernel with batch 0 and fail the whole stack.
+        w = WindowConfig(3, 1)
+        train = make_sequences(np.sin(np.arange(40.0) / 4.0), w)
+        val = make_sequences(np.cos(np.arange(20.0) / 3.0), w)
+        empty = make_sequences(np.arange(3.0), w)
+        cfg = TrainConfig(epochs=1)
+        many = train_many([(train, val, 1), (train, empty, 2)], cfg, 4)
+        assert isinstance(many[1], TrainingError)
+        assert str(many[1]) == "empty validation set"
+        (alone,) = train_many([(train, val, 1)], cfg, 4)
+        assert_same_fit(many[0], alone)
 
     def test_mixed_window_sizes_rejected(self):
         values = np.arange(20.0)

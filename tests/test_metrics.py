@@ -20,7 +20,7 @@ from leakbench.metrics import (
     rmse,
     rmse_gain,
 )
-from leakbench.runner import _ranked_gains
+from leakbench.runner import CellResult, _pair_gains
 from leakbench.splitting import SplitPlan
 
 from conftest import src_env
@@ -208,6 +208,20 @@ class TestRmseGain:
         with pytest.raises(LeakbenchError, match="positive"):
             rmse_gain(0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["clean", "leaky"])
+    def test_non_finite_rmse_rejected(self, side, bad):
+        # `nan <= 0` is False, so a NaN clean RMSE once passed as a nan
+        # gain with direction "down", which leakage_rank put first.
+        rmses = {"clean": 1.5, "leaky": 1.2, side: bad}
+        with pytest.raises(LeakbenchError, match=f"{side} RMSE must be finite"):
+            rmse_gain(rmses["clean"], rmses["leaky"])
+
+    def test_leaky_must_not_be_negative(self):
+        assert rmse_gain(1.0, 0.0) == (100.0, "up")
+        with pytest.raises(LeakbenchError, match="non-negative"):
+            rmse_gain(1.0, -0.5)
+
     @settings(max_examples=60, deadline=None)
     @given(
         clean=st.floats(0.01, 100.0),
@@ -271,7 +285,10 @@ class TestLeakageRank:
             leakage_rank([])
 
     def test_ranked_gain_record_round_trip(self):
-        (rec,) = _ranked_gains({(10, 2, "10-fold"): (2.0868, 1.6841)})
+        (rec,) = _pair_gains([
+            CellResult(10, 2, "10-fold", mode, aggregate([mean]), (mean,), 0, ())
+            for mode, mean in (("clean", 2.0868), ("leaky", 1.6841))
+        ])
         assert (rec.window, rec.lag, rec.plan, rec.rmse_clean, rec.rmse_leaky) == (
             10, 2, "10-fold", 2.0868, 1.6841)
         assert (rec.gain_percent, rec.direction, rec.leakage_rank) == (

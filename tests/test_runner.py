@@ -703,8 +703,8 @@ class TestEmit:
 
     def test_recompute_gains_matches_report(self, climate_csv, tmp_path):
         report = run_experiment(base_config(climate_csv, lags=(1, 2)))
-        emit_report(report, tmp_path, fmt="csv")
-        records = recompute_gains(tmp_path / "cells.csv", tmp_path / "cells.csv")
+        emit_report(report, tmp_path, fmt="json")
+        records = recompute_gains(tmp_path, tmp_path / "report.json")
         assert len(records) == len(report.gains)
         for got, want in zip(records, report.gains):
             assert got.gain_percent == pytest.approx(want.gain_percent, abs=1e-12)

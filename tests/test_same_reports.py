@@ -13,8 +13,8 @@ _SPEC.loader.exec_module(same_reports)
 
 
 def write_run(out: Path, created: str, mean: str = "1.5") -> Path:
-    out.mkdir()
-    for name in ("cells.csv", "gains.csv", "runs.csv", "audits.csv"):
+    (out / same_reports.REEMIT).mkdir(parents=True)
+    for name in same_reports.BYTE_FILES:
         (out / name).write_text(f"header\nrow,{mean}\n", encoding="utf-8")
     report = {"name": "x", "cells": [{"mean": mean}],
               "provenance": {"created_utc": created, "version": "0.1.0"}}
@@ -45,6 +45,14 @@ def test_a_missing_report_differs(tmp_path, missing):
     dirs = {side: write_run(tmp_path / side, "2026-01-01T00:00:00+00:00") for side in "ab"}
     (dirs[missing] / "report.json").unlink()
     assert same_reports.differing_files(dirs["a"], dirs["b"]) == ["report.json"]
+
+
+def test_each_reemitted_csv_is_compared(tmp_path):
+    a = write_run(tmp_path / "a", "2026-01-01T00:00:00+00:00")
+    b = write_run(tmp_path / "b", "2026-01-01T00:00:00+00:00")
+    (b / "reemit" / "gains.csv").write_text("header\nrow,1.25\n", encoding="utf-8")
+    (b / "reemit" / "runs.csv").unlink()
+    assert same_reports.differing_files(a, b) == ["reemit/gains.csv", "reemit/runs.csv"]
 
 
 def test_variants_change_only_what_they_name(tmp_path):
