@@ -185,8 +185,17 @@ def _traced_peak(case) -> int:
         tracemalloc.stop()
 
 
+def _quartiles_of(values: list[float]) -> list[float]:
+    """Q1, median and Q3 by the inclusive method, which stays within the
+    values: the default exclusive one extrapolates past them, so over two
+    rounds whose times differ fivefold its Q1 of a time comes out negative."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, median, q3 = _quartiles_of(values)
     return {"median_us": median * 1e6, "q1_us": q1 * 1e6, "q3_us": q3 * 1e6}
 
 
@@ -194,9 +203,7 @@ def _ratios(times: list[float], base: list[float]) -> dict:
     """A tree's round times against the first tree's: the ratio of their
     medians, and the median and quartiles of the per-round ratios."""
     per_round = [t / b for t, b in zip(times, base)]
-    q1, median, q3 = (
-        statistics.quantiles(per_round, n=4) if len(per_round) > 1 else per_round * 3
-    )
+    q1, median, q3 = _quartiles_of(per_round)
     return {
         "ratio_of_medians": statistics.median(times) / statistics.median(base),
         "median_ratio": median,

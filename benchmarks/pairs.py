@@ -16,6 +16,12 @@ the median and quartiles of each side and the number of pairs the change
 won (ties count for neither side). With `--layers`, it then runs
 `benchmarks/layers.py` on the two source trees and adds its per-layer
 kernel timings under "layers". Needs only the standard library.
+
+Before any run it exits 1, naming each directory, if either tree holds a
+bytecode cache (`src/**/__pycache__`, left by any run made with bytecode
+writing on). A pass in such a tree skips compiling the package, which
+under PYTHONDONTWRITEBYTECODE=1 the other tree pays for in `setup_s` and
+peak RSS, and `src_digest` cannot show the difference. Nothing is deleted.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ def src_digest(tree: Path) -> str:
             h.update(len(part).to_bytes(8, "big"))
             h.update(part)
     return h.hexdigest()
+
+
+def bytecode_caches(tree: Path) -> list[Path]:
+    """The `__pycache__` directories under `tree`'s src/, sorted."""
+    return sorted(path for path in (tree / "src").rglob("__pycache__") if path.is_dir())
 
 
 def run_side(tree: Path, workload: str, seed: int) -> list[dict]:
@@ -114,6 +125,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="add benchmarks/layers.py timings of both trees")
     args = parser.parse_args(argv)
 
+    caches = [path for tree in (args.parent, args.change) for path in bytecode_caches(tree)]
+    if caches:
+        for path in caches:
+            print(f"bytecode cache: {path}", file=sys.stderr)
+        print("remove the bytecode caches above before measuring: a tree that holds one "
+              "skips compiling the package", file=sys.stderr)
+        return 1
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):

@@ -90,11 +90,15 @@ def aggregate(
         std=std,
         stderr=stderr,
         ci95=ci,
-        mean_optimal_epoch=(
-            float(np.mean(optimal_epochs)) if optimal_epochs else None
-        ),
-        mean_last_epoch=(float(np.mean(last_epochs)) if last_epochs else None),
+        mean_optimal_epoch=_mean_or_none(optimal_epochs),
+        mean_last_epoch=_mean_or_none(last_epochs),
     )
+
+
+def _mean_or_none(values: Sequence[float] | None) -> float | None:
+    """The mean of `values`, or None when there are none. A length test,
+    not truthiness, so that a numpy array is accepted too."""
+    return None if values is None or len(values) == 0 else float(np.mean(values))
 
 
 def _t_abs_cdf(t: float, df: int) -> float:

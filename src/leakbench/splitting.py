@@ -166,6 +166,33 @@ def _partitions(plan: SplitPlan, n: int) -> list[dict[str, list[tuple[int, int]]
     return [{name: [(a, b)] for name, a, b in zip(names, cuts, cuts[1:])}]
 
 
+def _leaky_starts(axis: np.ndarray, ranges: list[tuple[int, int]], order: str) -> np.ndarray:
+    """A leaky partition's starts, cut from the (permuted) start axis in at
+    most one allocation: under sequential order one range is a slice of the
+    axis and several are one concatenation; under random order the cut is
+    sorted, in place where it already is a copy."""
+    if len(ranges) == 1:
+        (a, b), = ranges
+        return axis[a:b] if order == ORDER_SEQUENTIAL else np.sort(axis[a:b])
+    starts = np.concatenate([axis[a:b] for a, b in ranges])
+    if order == ORDER_RANDOM:
+        starts.sort()
+    return starts
+
+
+def _clean_starts(ranges: list[tuple[int, int]], offset: int) -> np.ndarray:
+    """A clean partition's starts, each range's [a, b - offset) in turn, as
+    one `arange` whose later ranges are shifted in place."""
+    counts = [max(0, b - offset - a) for a, b in ranges]
+    starts = np.arange(sum(counts), dtype=np.int64)
+    at = 0
+    for (a, _), count in zip(ranges, counts):
+        if a != at:
+            starts[at:at + count] += a - at
+        at += count
+    return starts
+
+
 def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
     """Materialize every SplitResult a spec describes.
 
@@ -199,14 +226,10 @@ def split(series: TimeSeries, spec: SplitSpec) -> list[SplitResult]:
         sets = {}
         for name, ranges in parts.items():
             if leaky:
-                starts = np.concatenate([axis[a:b] for a, b in ranges])
-                if spec.order == ORDER_RANDOM:
-                    starts.sort()
-                part = replace(full, starts=starts)
+                part = replace(full, starts=_leaky_starts(axis, ranges, spec.order))
             else:
-                part = SequenceSet(series.values, np.concatenate([
-                    np.arange(a, max(a, b - window.target_offset)) for a, b in ranges
-                ]), tuple(ranges), window)
+                part = SequenceSet(series.values, _clean_starts(ranges, window.target_offset),
+                                   tuple(ranges), window)
             if not len(part):
                 where = f" (fold {fold})" if plan.kind == K_FOLD else ""
                 if leaky:

@@ -50,6 +50,14 @@ class SequenceSet:
     [start, stop) raw-index intervals inside [0, len(values)], and every
     pair's raw span [t, t+W+L-1] must lie inside one of them. Empty sets
     are legal.
+
+    The constructor checks all three, raising WindowError: every range lies
+    in the buffer, `starts` ascends (one pass over the starts), and every
+    start lies in a range. The last is a binary search: the ranges' start
+    spans [lo, hi-W-L+1) are merged into disjoint spans, `searchsorted`
+    counts the starts inside each, and the set passes when the counts add
+    up to len(starts), at O(ranges * log n). Only a set that fails builds a
+    mask over its starts, to name the first stray start.
     """
 
     values: np.ndarray
@@ -71,15 +79,21 @@ class SequenceSet:
             raise WindowError(f"source range {ranges} lies outside the buffer [0, {n}]")
         if np.any(starts[1:] < starts[:-1]):
             raise WindowError("pairs must be ordered by input_start")
-        # a pair lies in [lo, hi) when its start and its target do
+        # a pair lies in [lo, hi) when its start lies in [lo, hi - W - L + 1);
+        # the merged spans are disjoint, so the ascending starts pass when
+        # the spans' binary-search counts add up to all of them
         offset = self.config.target_offset
-        inside = np.zeros(starts.shape, dtype=bool)
-        for lo, hi in ranges:
-            inside |= (lo <= starts) & (starts < hi - offset)
-        if not inside.all():
+        spans: list[list[int]] = []
+        for lo, hi in sorted((lo, hi - offset) for lo, hi in ranges if lo < hi - offset):
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        counts = starts.searchsorted(np.array(spans, dtype=np.int64).reshape(-1))
+        if int((counts[1::2] - counts[::2]).sum()) != len(starts):
             raise WindowError(
-                f"pair at t={int(starts[~inside][0])} falls outside source range"
-                f" {ranges}"
+                f"pair at t={_first_stray(starts, ranges, offset)} falls outside"
+                f" source range {ranges}"
             )
 
     def __len__(self) -> int:
@@ -95,6 +109,15 @@ class SequenceSet:
 
     def targets(self) -> np.ndarray:
         return self.values[self.target_indices()]
+
+
+def _first_stray(starts: np.ndarray, ranges: tuple[tuple[int, int], ...], offset: int) -> int:
+    """The first start whose pair lies in no source range, by a mask over
+    all starts: built only to name the stray in an error."""
+    inside = np.zeros(starts.shape, dtype=bool)
+    for lo, hi in ranges:
+        inside |= (lo <= starts) & (starts < hi - offset)
+    return int(starts[~inside][0])
 
 
 def windows(buffer: np.ndarray, starts: np.ndarray, window_size: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ class TestAggregate:
         stats = aggregate([1.0, 2.0], optimal_epochs=[10, 20], last_epochs=[30, 40])
         assert stats.mean_optimal_epoch == 15.0
         assert stats.mean_last_epoch == 35.0
+
+    @pytest.mark.parametrize("epochs, mean", [
+        (None, None),
+        ([], None),
+        ((), None),
+        (np.array([], dtype=int), None),
+        ([3, 4], 3.5),
+        ((3, 4), 3.5),  # the runner passes tuples
+        (np.array([3, 4]), 3.5),
+        (np.array([3.0]), 3.0),
+    ])
+    def test_epoch_means_accept_any_sequence(self, epochs, mean):
+        # a numpy array used to hit `if optimal_epochs`, whose truth value
+        # is ambiguous for more than one element
+        stats = aggregate(np.array([1.0, 2.0]), optimal_epochs=epochs, last_epochs=epochs)
+        assert stats.mean_optimal_epoch == stats.mean_last_epoch == mean
+        assert stats == replace(aggregate([1.0, 2.0]), mean_optimal_epoch=mean,
+                                mean_last_epoch=mean)
 
     def test_invariants(self):
         stats = aggregate([3.0, 1.0, 2.0, 5.0])

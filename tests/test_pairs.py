@@ -71,3 +71,23 @@ def test_src_digest_names_the_package_sources(tmp_path):
     del moved["pkg/a.py"]
     renamed = pairs.src_digest(write_tree(tmp_path / "renamed", moved))
     assert len({base, changed, renamed}) == 3
+
+
+def test_main_refuses_a_tree_with_a_bytecode_cache(tmp_path, monkeypatch, capsys):
+    parent = write_tree(tmp_path / "parent", SOURCES)
+    change = write_tree(tmp_path / "change", SOURCES)
+    cache = change / "src" / "pkg" / "sub" / "__pycache__"
+    cache.mkdir()
+    (cache / "b.cpython-311.pyc").write_bytes(b"\0")
+
+    def no_run(*args):
+        raise AssertionError("ran a benchmark pass")
+
+    monkeypatch.setattr(pairs, "run_side", no_run)
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--seeds", "1", "--out", str(out)]
+    assert pairs.main(argv) == 1
+    assert f"bytecode cache: {cache}" in capsys.readouterr().err
+    assert (cache / "b.cpython-311.pyc").is_file()
+    assert not out.exists()
+    assert pairs.bytecode_caches(parent) == []

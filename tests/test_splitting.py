@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakbench.errors import SplitError
-from leakbench.splitting import SplitPlan, SplitSpec, split
+from leakbench.rng import default_rng
+from leakbench.splitting import SplitPlan, SplitSpec, _partitions, split
 from leakbench.windowing import WindowConfig
 
 from conftest import make_series
@@ -335,6 +336,64 @@ def test_split_matches_naive_partition_loop(n, w, lag, plan, mode_order, seed):
             # values[t] == t, so the buffer must line up with raw indices
             assert got.inputs()[:, 0].tolist() == starts
             assert got.targets().tolist() == [t + w + lag - 1 for t in starts]
+
+
+def concatenated_starts(n, window, plan, mode, order, seed):
+    """Each fold's {partition: starts} by the construction `split` used
+    before it cut each partition in one allocation (frozen here): leaky
+    partitions concatenate slices of the (permuted) start axis and sort a
+    random-order cut; clean ones concatenate one `arange` per range."""
+    offset = window.target_offset
+    axis = np.arange(max(0, n - offset))
+    if order == "random":
+        axis = axis[default_rng(seed).permutation(len(axis))]
+    folds = []
+    for parts in _partitions(plan, len(axis) if mode == "leaky" else n):
+        fold = {}
+        for name, ranges in parts.items():
+            if mode == "leaky":
+                starts = np.concatenate([axis[a:b] for a, b in ranges])
+                if order == "random":
+                    starts.sort()
+            else:
+                starts = np.concatenate(
+                    [np.arange(a, max(a, b - offset)) for a, b in ranges])
+            fold[name] = starts
+        folds.append(fold)
+    return folds
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=120),
+    w=st.integers(min_value=1, max_value=6),
+    lag=st.integers(min_value=1, max_value=3),
+    plan=st.one_of(st.sampled_from([SplitPlan.two_way(), SplitPlan.three_way()]),
+                   st.integers(min_value=2, max_value=10).map(SplitPlan.k_fold)),
+    mode_order=st.sampled_from(
+        [("leaky", "sequential"), ("leaky", "random"), ("clean", "sequential")]
+    ),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_split_starts_equal_the_concatenating_construction(n, w, lag, plan, mode_order, seed):
+    mode, order = mode_order
+    s = spec(plan, mode=mode, w=w, lag=lag, order=order, seed=seed)
+    expected = concatenated_starts(n, s.window, plan, mode, order, seed)
+    try:
+        results = split(make_series(np.arange(float(n))), s)
+    except SplitError:
+        assert any(len(starts) == 0 for fold in expected for starts in fold.values())
+        return
+    assert len(results) == len(expected)
+    for res, fold in zip(results, expected):
+        for name, starts in fold.items():
+            got = getattr(res, name).starts
+            assert got.dtype == np.int64
+            assert np.array_equal(got, starts)
+            # a sequential leaky one-range partition is a view of the
+            # shared start axis: no partition may write through its starts
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = -1
 
 
 @pytest.mark.parametrize("n", [1, 5])

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakbench import windowing
 from leakbench.audit import footprint_mask
 from leakbench.errors import WindowError
 from leakbench.splitting import SplitPlan, SplitSpec, split
@@ -153,6 +155,63 @@ class TestSequenceSet:
         assert seqs.targets().shape == (6,)
         empty = make_sequences(np.arange(2.0), WindowConfig(3, 1))
         assert empty.inputs().shape == (0, 3)
+
+
+def stray_by_mask(starts, ranges, offset):
+    """The range check as a mask over the starts, frozen here as the
+    oracle: the first start whose pair lies in no range, or None when
+    there is none."""
+    inside = np.zeros(starts.shape, dtype=bool)
+    for lo, hi in ranges:
+        inside |= (lo <= starts) & (starts < hi - offset)
+    return None if inside.all() else int(starts[~inside][0])
+
+
+@st.composite
+def range_checks(draw):
+    """A buffer length, a window, 1-3 source ranges inside the buffer that
+    may overlap, touch, be empty or come out of order, and ascending starts
+    that may repeat and may fall outside them (all inside half the time)."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    config = WindowConfig(draw(st.integers(min_value=1, max_value=5)),
+                          draw(st.integers(min_value=1, max_value=3)))
+    bound = st.integers(min_value=0, max_value=n)
+    ranges = tuple(draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=3)))
+    starts = np.array(sorted(draw(st.lists(st.integers(min_value=-2, max_value=n + 2),
+                                           max_size=12))), dtype=np.int64)
+    if draw(st.booleans()):
+        offset = config.target_offset
+        starts = starts[[stray_by_mask(starts[k:k + 1], ranges, offset) is None
+                         for k in range(len(starts))]]
+    return n, config, ranges, starts
+
+
+class TestRangeCheck:
+    """The binary-search range check against the mask rule as its oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(range_checks())
+    def test_accepts_exactly_what_the_mask_rule_accepts(self, case):
+        n, config, ranges, starts = case
+        stray = stray_by_mask(starts, ranges, config.target_offset)
+        with mock.patch.object(windowing, "_first_stray",
+                               wraps=windowing._first_stray) as mask:
+            if stray is None:
+                seqs = SequenceSet(np.zeros(n), starts, ranges, config)
+                np.testing.assert_array_equal(seqs.starts, starts)
+                # an accepted set builds no mask: an undercount that fell
+                # back to the mask would still be caught here
+                assert mask.call_count == 0
+                return
+            with pytest.raises(WindowError) as err:
+                SequenceSet(np.zeros(n), starts, ranges, config)
+        assert str(err.value) == f"pair at t={stray} falls outside source range {ranges}"
+
+    def test_overlapping_ranges_count_a_start_once(self):
+        # start 2 lies in both ranges, 9 in neither: counted twice, 2 would
+        # make up for the stray
+        with pytest.raises(WindowError, match="t=9 falls outside"):
+            SequenceSet(np.zeros(12), np.array([2, 9]), ((0, 6), (1, 7)), WindowConfig(2, 1))
 
 
 def naive_pairs(values, starts, w, lag):
